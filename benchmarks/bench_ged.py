@@ -53,7 +53,7 @@ def main():
     ap.add_argument("--budget", type=int, default=core.DEFAULT_BUDGET)
     args = ap.parse_args()
 
-    if core.BACKEND != "cython":
+    if core.BACKEND != "c":
         print(
             "note: compiled kernel not built (backend is "
             f"{core.BACKEND!r}); comparing the fallback against itself"

@@ -1,17 +1,10 @@
 from setuptools import Extension, setup
 
-# The exact-GED search has a compiled kernel. The build is optional: when
-# Cython (or a C compiler) is unavailable the package falls back to the
-# pure-Python kernel at import time.
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("gedraft.ged._astar", ["src/gedraft/ged/_astar.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+# The exact-GED search has a compiled kernel, a plain C extension. The build
+# is optional: without a working C compiler the package installs without it
+# and falls back to the pure-Python kernel at import time.
+setup(
+    ext_modules=[
+        Extension("gedraft.ged._astar", ["src/gedraft/ged/_astar.c"], optional=True)
+    ]
+)

@@ -1,8 +1,9 @@
 """Exact graph edit distance under unit costs.
 
-The search kernel has a compiled (Cython) implementation and a pure-Python
-fallback with identical semantics; the compiled one is preferred at import
-time. Set ``GEDRAFT_PURE=1`` to force the pure-Python kernel.
+The search kernel has a compiled C implementation and a pure-Python
+fallback with identical results; the compiled one is preferred at import
+time. ``BACKEND`` is ``"c"`` or ``"python"``; set ``GEDRAFT_PURE=1`` to
+force the pure-Python kernel.
 """
 
 from .core import (

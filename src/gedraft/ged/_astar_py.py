@@ -12,9 +12,12 @@ charged so that every node edit and every edge edit is counted exactly once:
 
 The heuristic adds the label-multiset bound on the unprocessed/unused nodes
 and the absolute difference of uncharged edge counts; both are admissible
-(see gedraft.ged.bounds).
+(see the docstring of gedraft.ged.core).
 
 Tie-breaking is deterministic: (f, g descending, assignment lexicographic).
+
+This module is the readable reference. The compiled kernel in _astar.c
+visits the same states in the same order and returns the same results.
 """
 
 from __future__ import annotations
@@ -31,11 +34,18 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
 
     adj1/adj2 are per-node neighbor bitmasks. Returns
     (cost, assignment, expansions, optimal) where assignment[i] in 0..n2
-    (n2 = deleted). When the expansion budget runs out before proving
-    optimality, returns the best complete assignment found so far (or the
-    heuristic-greedy completion is absent: cost of best frontier completion
-    is not fabricated; optimal=False and assignment may be None).
+    (n2 = deleted). When the expansion budget runs out before optimality is
+    proven, returns optimal=False with the best complete assignment found so
+    far and its cost, or None for both when none was found yet.
+
+    Raises ValueError for a graph with more than 64 nodes (the compiled
+    kernel's bitmask limit) or a label outside 0..alphabet_size-1.
     """
+    if n1 > 64 or n2 > 64:
+        raise ValueError(f"graphs must have at most 64 nodes, got {n1} and {n2}")
+    for lab in (*labels1, *labels2):
+        if not 0 <= lab < alphabet_size:
+            raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")
     e2_total = sum(_popcount(m) for m in adj2) // 2
 
     # label counts of the g1 suffix starting at i, and edges inside the prefix

@@ -33,7 +33,7 @@ else:
     try:
         from . import _astar as _kernel  # type: ignore[attr-defined]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         from . import _astar_py as _kernel
 

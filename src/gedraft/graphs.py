@@ -8,6 +8,7 @@ alphabet; edges are stored as a sorted tuple of ``(u, v)`` pairs with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +57,12 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edges)
+
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
+        return (min(u, v), max(u, v)) in self._edge_set
 
     def one_hot(self, alphabet_size: int) -> np.ndarray:
         x = np.zeros((self.n, alphabet_size), dtype=np.float64)
@@ -77,8 +82,12 @@ class SubgraphExtraction:
 def validate(g: Graph) -> list[str]:
     """Return every violated invariant; an empty list means valid."""
     violations = []
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         violations.append("graph must have at least one node")
+    for i, lab in enumerate(g.labels):
+        if not isinstance(lab, int) or lab < 0:
+            violations.append(f"label {lab!r} of node {i} is not a non-negative integer")
     seen = set()
     for u, v in g.edges:
         if u == v:
@@ -86,8 +95,8 @@ def validate(g: Graph) -> list[str]:
             continue
         if u > v:
             violations.append(f"edge ({u},{v}) not stored smaller-id-first")
-        if u < 0 or v >= g.n or u >= g.n or v < 0:
-            violations.append(f"edge ({u},{v}) endpoint out of range for n={g.n}")
+        if u < 0 or v >= n or u >= n or v < 0:
+            violations.append(f"edge ({u},{v}) endpoint out of range for n={n}")
         key = (min(u, v), max(u, v))
         if key in seen:
             violations.append(f"duplicate edge ({u},{v})")

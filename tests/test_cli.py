@@ -119,6 +119,13 @@ def test_ged_budget_exhausted_is_numeric_failure(tmp_path, capsys):
     assert main(["ged", "--a", a, "--b", b, "--budget", "2"]) == EXIT_NUMERIC
 
 
+def test_ged_rejects_negative_label(tmp_path, capsys):
+    a = write_graph(tmp_path / "a.json", "a", [0, -1], [[0, 1]])
+    b = write_graph(tmp_path / "b.json", "b", [0, 1], [[0, 1]])
+    assert main(["ged", "--a", a, "--b", b]) == EXIT_USAGE
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(workspace, tmp_path, capsys):
     assert main(["ged", "--a", "missing.json", "--b", "missing.json"]) == EXIT_USAGE
     assert (

@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gedraft import graphs as G
 from gedraft.ged import (
-    BACKEND,
     GedBudgetExceeded,
     apply_edit_path,
     ged_bruteforce,
@@ -138,17 +139,96 @@ def test_nged_and_similarity():
         similarity(-0.1)
 
 
-def test_kernel_backends_agree():
-    if BACKEND != "cython":
-        pytest.skip("compiled kernel not built; nothing to cross-check")
+@pytest.fixture(params=["python", "c"])
+def kernel(request):
+    return _astar_py if request.param == "python" else request.getfixturevalue("c_kernel")
+
+
+def kernel_args(g1, g2, budget=5_000_000, alphabet_size=None):
+    if alphabet_size is None:
+        alphabet_size = core._alphabet_size(g1, g2)
+    return (
+        g1.n, list(g1.labels), g1.adjacency_masks(),
+        g2.n, list(g2.labels), g2.adjacency_masks(),
+        alphabet_size, budget,
+    )
+
+
+@st.composite
+def small_graphs(draw, max_n=6, alphabet=3):
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pool if draw(st.booleans())]
+    return G.Graph.make("h", labels, edges)
+
+
+def test_kernel_backends_agree(c_kernel):
     for trial in range(60):
         g1, g2 = rand_pair(trial, 3, 7)
-        args = (
-            g1.n, list(g1.labels), g1.adjacency_masks(),
-            g2.n, list(g2.labels), g2.adjacency_masks(),
-            3, 5_000_000,
-        )
-        assert core._kernel.solve(*args) == _astar_py.solve(*args)
+        args = kernel_args(g1, g2, alphabet_size=3)
+        assert c_kernel.solve(*args) == _astar_py.solve(*args)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_graphs(), small_graphs())
+@example(G.Graph.make("a", [0], []), G.Graph.make("b", [1], []))
+@example(G.Graph.make("a", [2], []), G.Graph.make("b", [0, 2, 1], [(0, 1), (1, 2)]))
+@example(G.Graph.make("a", [0, 0, 1, 2], [(0, 1), (2, 3)]), G.Graph.make("b", [0], []))
+def test_kernel_backends_agree_on_random_graphs(c_kernel, g1, g2):
+    args = kernel_args(g1, g2)
+    result = c_kernel.solve(*args)
+    assert result == _astar_py.solve(*args)
+    assert result[0] == ged_bruteforce(g1, g2)
+
+
+def test_kernel_backends_agree_when_budget_runs_out(c_kernel):
+    g1 = G.generate_er(8, 0.5, 1, seed=1, gid="a")
+    g2 = G.generate_er(8, 0.5, 1, seed=2, gid="b")
+    args = kernel_args(g1, g2, budget=3)
+    cost, assign, expansions, optimal = c_kernel.solve(*args)
+    assert (cost, assign, expansions, optimal) == _astar_py.solve(*args)
+    assert (expansions, optimal) == (3, False)
+    exhausted_with_bound = 0
+    for trial in range(20):
+        g1, g2 = rand_pair(trial, 5, 7)
+        for budget in (0, 1, 2, 5, 20):
+            args = kernel_args(g1, g2, budget=budget)
+            result = c_kernel.solve(*args)
+            assert result == _astar_py.solve(*args), (trial, budget)
+            if not result[3]:
+                assert result[2] == budget
+                exhausted_with_bound += result[0] is not None
+    assert exhausted_with_bound > 0
+
+
+@pytest.mark.parametrize(
+    "labels1, labels2, alphabet_size",
+    [([0, -1], [0], 2), ([0, 1], [2], 2), ([0, 1], [0], 0)],
+)
+def test_kernel_rejects_labels_outside_alphabet(kernel, labels1, labels2, alphabet_size):
+    args = (len(labels1), labels1, [0] * len(labels1), len(labels2), labels2,
+            [0] * len(labels2), alphabet_size, 100)
+    with pytest.raises(ValueError, match="label"):
+        kernel.solve(*args)
+
+
+def test_kernel_rejects_more_than_64_nodes(kernel):
+    big = G.generate_er(65, 0.05, 2, seed=3, gid="big")
+    small = G.generate_er(3, 0.5, 2, seed=4, gid="small")
+    for g1, g2 in ((big, small), (small, big)):
+        with pytest.raises(ValueError, match="64"):
+            kernel.solve(*kernel_args(g1, g2))
+
+
+def test_ged_exact_rejects_bad_input_on_both_kernels(kernel, monkeypatch):
+    monkeypatch.setattr(core, "_kernel", kernel)
+    ok = G.Graph.make("ok", [0, 1], [(0, 1)])
+    with pytest.raises(ValueError, match="non-negative integer"):
+        ged_exact(G.Graph("neg", (0, -1), ((0, 1),)), ok)
+    with pytest.raises(ValueError, match="64"):
+        ged_exact(G.generate_er(65, 0.05, 2, seed=3, gid="big"), ok)
+    assert ged_exact(ok, ok).cost == 0
 
 
 def test_expansions_reported():

@@ -46,6 +46,9 @@ def test_validate_catches_violations():
     assert any("smaller-id-first" in v for v in validate(Graph("g", (0, 1), ((1, 0),))))
     assert any("duplicate" in v for v in validate(Graph("g", (0, 1), ((0, 1), (0, 1)))))
     assert any("at least one node" in v for v in validate(Graph("g", (), ())))
+    assert any("non-negative integer" in v for v in validate(Graph("g", (0, -1), ())))
+    assert any("non-negative integer" in v for v in validate(Graph("g", (0.5,), ())))
+    assert any("non-negative integer" in v for v in validate(Graph("g", ("a",), ())))
     with pytest.raises(ValueError):
         require_valid(Graph("g", (), ()))
 
