@@ -39,9 +39,13 @@ GRADCHECK_TOL = 1e-4
 
 
 def read_graph(path) -> Graph:
+    """The valid graph in a JSON graph file; ValueError for any other file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    g = Graph.make(doc["id"], doc["labels"], [tuple(e) for e in doc["edges"]])
+    try:
+        g = Graph.from_json(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
     require_valid(g)
     return g
 

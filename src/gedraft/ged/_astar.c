@@ -199,9 +199,14 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
     }
     s->e2_total /= 2;
 
-    *best_cost = -1;
     *expansions = 0;
     *optimal = 1;
+    if (n1 == 0) {
+        /* nothing to assign: insert all of g2 */
+        *best_cost = n2 + s->e2_total;
+        return 0;
+    }
+    *best_cost = -1;
     if (push(s, bound(s, 0, n2, overlap(s, 0), 0), 0, 0, cur) < 0)
         return -1;
     while (s->heap_len > 0) {

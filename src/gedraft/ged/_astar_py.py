@@ -47,6 +47,9 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
         if not 0 <= lab < alphabet_size:
             raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")
     e2_total = sum(_popcount(m) for m in adj2) // 2
+    if n1 == 0:
+        # nothing to assign: insert all of g2
+        return n2 + e2_total, (), 0, True
 
     # label counts of the g1 suffix starting at i, and edges inside the prefix
     suffix_counts = [[0] * alphabet_size for _ in range(n1 + 1)]

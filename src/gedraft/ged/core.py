@@ -94,53 +94,63 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
     """Minimal-cost edit path from g1 to (a graph equal up to ids to) g2."""
     require_valid(g1)
     require_valid(g2)
+    labels1, labels2 = g1.labels, g2.labels
+    alphabet_size = _alphabet_size(g1, g2)
+    if alphabet_size > len(labels1) + len(labels2):
+        # The kernels keep counts per label value, so number a sparse
+        # alphabet densely; only label equality matters to the search.
+        dense = {lab: k for k, lab in enumerate(sorted({*labels1, *labels2}))}
+        labels1 = tuple(dense[lab] for lab in labels1)
+        labels2 = tuple(dense[lab] for lab in labels2)
+        alphabet_size = len(dense)
     cost, assign, expansions, optimal = _kernel.solve(
-        g1.n,
-        list(g1.labels),
-        g1.adjacency_masks(),
-        g2.n,
-        list(g2.labels),
-        g2.adjacency_masks(),
-        _alphabet_size(g1, g2),
-        budget,
+        len(labels1), labels1, g1.masks, len(labels2), labels2, g2.masks,
+        alphabet_size, budget,
     )
     if not optimal:
         raise GedBudgetExceeded(cost, expansions)
     path, mapping = _build_path(g1, g2, assign)
     assert len(path) == cost, "path length disagrees with search cost"
-    return GedResult(cost, tuple(path), tuple(mapping), expansions)
+    return GedResult(cost, path, mapping, expansions)
 
 
 def _build_path(g1: Graph, g2: Graph, assign):
-    """Expand a node assignment into an explicit edit path."""
-    n2 = g2.n
-    image = {u: v for u, v in enumerate(assign) if v != n2}
-    mapping = sorted(image.items())
-    e2_images = {
-        (min(image[u], image[w]), max(image[u], image[w]))
-        for u, w in g1.edges
-        if u in image and w in image
-    }
-    path: list[EditOp] = []
+    """Expand a node assignment into an explicit edit path and the matched
+    (g1 node, g2 node) pairs.
+
+    ``assign[u]`` is g1 node u's image in g2, or ``g2.n`` if u is deleted.
+    """
+    labels2, adj2 = g2.labels, g2.masks
+    n2 = len(labels2)
+    path = []
+    # kept[v]: the g2 neighbours of v joined to it by the image of a g1 edge
+    kept = [0] * n2
     for u, w in g1.edges:
-        if u in image and w in image and g2.has_edge(image[u], image[w]):
-            continue
-        path.append(EditOp("edge-delete", (u, w)))
-    for u in range(g1.n):
-        if u not in image:
+        a, b = assign[u], assign[w]
+        if a != n2 and b != n2 and adj2[a] >> b & 1:
+            kept[a] |= 1 << b
+            kept[b] |= 1 << a
+        else:
+            path.append(EditOp("edge-delete", (u, w)))
+    mapping = []
+    relabels = []
+    used = 0
+    for u, (lab, v) in enumerate(zip(g1.labels, assign)):
+        if v == n2:
             path.append(EditOp("node-delete", (u,)))
-    for u, v in mapping:
-        if g1.labels[u] != g2.labels[v]:
-            path.append(EditOp("node-relabel", (u, g2.labels[v])))
-    used = set(image.values())
-    for v in range(n2):
-        if v not in used:
-            path.append(EditOp("node-insert", (v, g2.labels[v])))
+            continue
+        mapping.append((u, v))
+        used |= 1 << v
+        if lab != labels2[v]:
+            relabels.append(EditOp("node-relabel", (u, labels2[v])))
+    path += relabels
+    for v, lab in enumerate(labels2):
+        if not used >> v & 1:
+            path.append(EditOp("node-insert", (v, lab)))
     for v, w in g2.edges:
-        matched = (v, w) in e2_images and v in used and w in used
-        if not matched:
+        if not kept[v] >> w & 1:
             path.append(EditOp("edge-insert", (v, w)))
-    return path, mapping
+    return tuple(path), tuple(mapping)
 
 
 def apply_edit_path(g1: Graph, g2: Graph, result: GedResult) -> Graph:

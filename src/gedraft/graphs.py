@@ -17,6 +17,10 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class Graph:
+    """A frozen graph with tuple fields, so what is derived from it (the
+    neighbour masks, the edge set, the ``validate`` result) is computed once
+    and cached on the instance."""
+
     id: str
     labels: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -26,6 +30,32 @@ class Graph:
         """Normalize edge orientation/order and build a Graph."""
         norm = sorted({(min(u, v), max(u, v)) for (u, v) in edges})
         return Graph(gid, tuple(int(x) for x in labels), tuple(norm))
+
+    @staticmethod
+    def from_json(doc) -> "Graph":
+        """The graph of a parsed ``{"id": str, "labels": [int], "edges":
+        [[u, v], ...]}`` record.
+
+        Raises ValueError for a record of any other shape. Labels and
+        endpoints must be JSON integers: a float or a boolean is rejected,
+        not truncated. The graph's invariants are left to ``validate``.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("graph record must be an object")
+        missing = [key for key in ("id", "labels", "edges") if key not in doc]
+        if missing:
+            raise ValueError(f"graph record lacks {', '.join(missing)}")
+        gid, labels, edges = doc["id"], doc["labels"], doc["edges"]
+        if not isinstance(gid, str):
+            raise ValueError(f"graph id {gid!r} is not a string")
+        if not isinstance(labels, list) or not all(type(x) is int for x in labels):
+            raise ValueError(f"graph {gid!r}: labels must be a list of integers")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+            for e in edges
+        ):
+            raise ValueError(f"graph {gid!r}: edges must be a list of [u, v] integer pairs")
+        return Graph.make(gid, labels, edges)
 
     @property
     def n(self) -> int:
@@ -58,8 +88,18 @@ class Graph:
         return masks
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """``adjacency_masks()`` as a tuple, computed once per graph: the
+        search kernel's input."""
+        return tuple(self.adjacency_masks())
+
+    @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(validate(self))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_set
@@ -105,9 +145,9 @@ def validate(g: Graph) -> list[str]:
 
 
 def require_valid(g: Graph) -> None:
-    violations = validate(g)
-    if violations:
-        raise ValueError(f"invalid graph {g.id!r}: " + "; ".join(violations))
+    """Raise ValueError listing ``validate(g)``, which each graph runs once."""
+    if g._violations:
+        raise ValueError(f"invalid graph {g.id!r}: " + "; ".join(g._violations))
 
 
 def generate_er(n: int, p: float, alphabet_size: int, seed: int, gid: str | None = None) -> Graph:

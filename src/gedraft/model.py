@@ -4,8 +4,8 @@ The predicted similarity is an unclamped scalar (no output sigmoid);
 training and evaluation consume raw predictions.
 
 Checkpoints are JSON (schema version 1) with canonical key ordering and
-17-significant-digit floats, so a round-trip restores every parameter
-bit-exactly.
+floats in shortest round-trip form (see ``dataset.json_float``), so a
+round-trip restores every parameter bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from . import fusion as fus
 from .autodiff import Tensor
+from .dataset import json_float
 from .graphs import Graph
 
 CHECKPOINT_VERSION = "1"
@@ -151,14 +152,10 @@ class CheckpointError(ValueError):
     pass
 
 
-def _float17(x: float) -> float:
-    return json.loads(format(float(x), ".17g"))
-
-
 def _array_json(a: np.ndarray):
     return {
         "shape": list(a.shape),
-        "values": [_float17(v) for v in a.reshape(-1)],
+        "values": [json_float(v) for v in a.reshape(-1).tolist()],
     }
 
 

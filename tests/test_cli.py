@@ -158,3 +158,29 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"id": "a", "labels": [0, 1]}, "edges"),
+        ([0, 1], "object"),
+        ({"id": "a", "labels": [0, 1.7], "edges": []}, "labels"),
+        ({"id": "a", "labels": [0, True], "edges": []}, "labels"),
+    ],
+)
+def test_ged_rejects_malformed_graph_file(tmp_path, capsys, doc, message):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(doc))
+    b = write_graph(tmp_path / "b.json", "b", [0, 1], [[0, 1]])
+    assert main(["ged", "--a", str(a), "--b", b]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(a) in err and message in err
+
+
+def test_train_rejects_malformed_dataset(tmp_path, capsys):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"version": "1", "alphabet": ["C"], "graphs": 5, "pairs": []}))
+    code = main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json"), "--quiet"])
+    assert code == EXIT_USAGE
+    assert "graphs" in capsys.readouterr().err

@@ -120,3 +120,44 @@ def test_edges_written_sorted(small_ds):
     doc = dataset_to_json(small_ds)
     for rec in doc["graphs"]:
         assert rec["edges"] == sorted(rec["edges"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(graphs=5), "graphs"),
+        (lambda d: d.update(pairs={"a": 1}), "pairs"),
+        (lambda d: d.update(alphabet="CNO"), "alphabet"),
+        (lambda d: d.update(alphabet=[1, 2, 3]), "alphabet"),
+        (lambda d: d["graphs"].__setitem__(0, [1, 2]), "graph 0"),
+        (lambda d: d["graphs"][1]["labels"].__setitem__(0, 1.7), "graph 1"),
+        (lambda d: d["graphs"][1]["labels"].__setitem__(0, True), "graph 1"),
+        (lambda d: d["graphs"][1]["edges"].__setitem__(0, [0, 1.0]), "graph 1"),
+        (lambda d: d["graphs"][1].update(id=["b"]), "graph 1"),
+        (lambda d: d["pairs"].__setitem__(2, "c,a"), "pair 2"),
+        (lambda d: d["pairs"][0].pop("sim"), "pair 0"),
+        (lambda d: d["pairs"][0].update(i=["a"]), "pair 0"),
+        (lambda d: d["pairs"][0].update(split=None), "pair 0"),
+        (lambda d: d["pairs"][0].update(ged=2.0), "pair 0"),
+        (lambda d: d["pairs"][0].update(ged=True), "pair 0"),
+        (lambda d: d["pairs"][0].update(nged="0.8"), "pair 0"),
+        (lambda d: d["pairs"][0].update(nged=math.nan, sim=math.nan), "pair 0"),
+        (lambda d: d["pairs"][0].update(sim=math.inf), "pair 0"),
+        (lambda d: d["pairs"][0].update(ged=-2, nged=-0.8, sim=math.exp(0.8)), "ged -2"),
+        (lambda d: d["pairs"][0].update(ged=10**400), "outside"),
+        (lambda d: d["pairs"][0].update(nged=-1e308), "nged inconsistent"),
+    ],
+)
+def test_malformed_documents_rejected(small_ds, edit, message):
+    doc = json.loads(json.dumps(dataset_to_json(small_ds)))
+    dataset_from_json(doc)
+    edit(doc)
+    with pytest.raises(DatasetFormatError, match=message):
+        dataset_from_json(doc)
+
+
+def test_integral_labels_load_as_floats(small_ds):
+    doc = dataset_to_json(small_ds)
+    doc["pairs"] = [{"i": "a", "j": "a", "ged": 0, "nged": 0, "sim": 1, "split": "train"}]
+    (p,) = dataset_from_json(doc).pairs
+    assert (type(p.nged), type(p.sim)) == (float, float)

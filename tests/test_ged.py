@@ -242,3 +242,110 @@ def test_result_json_shape():
     doc = ged_exact(g1, g2).to_json()
     assert set(doc) == {"cost", "path", "mapping"}
     assert all(set(op) == {"kind", "operands"} for op in doc["path"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_kernels_insert_all_of_g2_when_g1_is_empty(c_kernel, g2):
+    empty = G.Graph("empty", (), ())
+    args = kernel_args(empty, g2, alphabet_size=3)
+    result = c_kernel.solve(*args)
+    assert result == _astar_py.solve(*args)
+    assert result == (ged_bruteforce(empty, g2), (), 0, True)
+
+
+def test_kernel_on_empty_g1(kernel):
+    assert kernel.solve(0, [], [], 2, [0, 0], [2, 1], 1, 100) == (3, (), 0, True)
+    assert kernel.solve(0, [], [], 0, [], [], 1, 0) == (0, (), 0, True)
+
+
+def test_invalid_graph_raises_on_every_call():
+    bad = G.Graph("bad", (0, 1), ((1, 0),))
+    good = G.Graph.make("ok", [0], [])
+    for _ in range(3):
+        for g1, g2 in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="smaller-id-first"):
+                ged_exact(g1, g2)
+
+
+def test_sparse_labels_give_the_dense_result():
+    # labels far apart are renumbered before the search; the result is the
+    # one of the same graphs on a dense alphabet, with the original labels
+    g1 = G.Graph.make("a", [10**12, 7, 2**40], [(0, 1), (1, 2)])
+    g2 = G.Graph.make("b", [7, 10**12], [(0, 1)])
+    d1 = G.Graph.make("a", [1, 0, 2], [(0, 1), (1, 2)])
+    d2 = G.Graph.make("b", [0, 1], [(0, 1)])
+    res, dense = ged_exact(g1, g2), ged_exact(d1, d2)
+    assert (res.cost, res.mapping, res.expansions) == (dense.cost, dense.mapping, dense.expansions)
+    assert res.cost == ged_bruteforce(g1, g2)
+    assert apply_edit_path(g1, g2, res) == g2
+
+
+def test_ged_exact_calls_the_kernel_once_per_call(monkeypatch):
+    # perfbench's tracer counts kernel calls by replacing ``core._kernel`` and
+    # labeling calls by replacing ``synth.ged_exact``
+    from gedraft import ged, synth
+
+    assert synth.ged_exact is ged.ged_exact is core.ged_exact
+    real = core._kernel
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        return real.solve(*args)
+
+    monkeypatch.setattr(core, "_kernel", type("Counting", (), {"solve": staticmethod(solve)}))
+    g1, g2 = rand_pair(4)
+    for k in range(1, 4):
+        ged_exact(g1, g2)
+        assert len(calls) == k
+
+    labeled = []
+
+    def counting_ged_exact(*args):
+        labeled.append(args)
+        return ged_exact(*args)
+
+    monkeypatch.setattr(synth, "ged_exact", counting_ged_exact)
+    ds, report = synth.build_dataset(n_graphs=6, n_min=3, n_max=4, p=0.4, alphabet_size=2, seed=1)
+    assert len(labeled) == len(calls) - 3 == report.num_pairs + report.dropped_budget
+
+
+def reference_build_path(g1, g2, assign):
+    """The edit path built with dicts and sets, as ``_build_path`` once did."""
+    n2 = g2.n
+    image = {u: v for u, v in enumerate(assign) if v != n2}
+    mapping = sorted(image.items())
+    e2_images = {
+        (min(image[u], image[w]), max(image[u], image[w]))
+        for u, w in g1.edges
+        if u in image and w in image
+    }
+    path = []
+    for u, w in g1.edges:
+        if not (u in image and w in image and g2.has_edge(image[u], image[w])):
+            path.append(core.EditOp("edge-delete", (u, w)))
+    path += [core.EditOp("node-delete", (u,)) for u in range(g1.n) if u not in image]
+    path += [
+        core.EditOp("node-relabel", (u, g2.labels[v]))
+        for u, v in mapping
+        if g1.labels[u] != g2.labels[v]
+    ]
+    used = set(image.values())
+    path += [core.EditOp("node-insert", (v, g2.labels[v])) for v in range(n2) if v not in used]
+    path += [core.EditOp("edge-insert", e) for e in g2.edges if e not in e2_images]
+    return tuple(path), tuple(mapping)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graphs(), small_graphs(), st.randoms(use_true_random=False))
+def test_build_path_matches_reference(g1, g2, rnd):
+    # the optimal assignment and, to reach every branch, an arbitrary one
+    optimal = core._kernel.solve(*kernel_args(g1, g2))[1]
+    targets = list(range(g2.n))
+    rnd.shuffle(targets)
+    arbitrary = tuple(
+        targets.pop() if targets and rnd.random() < 0.7 else g2.n for _ in range(g1.n)
+    )
+    for assign in (optimal, arbitrary):
+        assert core._build_path(g1, g2, assign) == reference_build_path(g1, g2, assign)

@@ -193,3 +193,35 @@ def test_remaining_subgraph_valid_and_smaller(g, seed):
     if rem is not EMPTY_REMAINDER:
         assert validate(rem) == []
         assert rem.num_edges == g.num_edges - ex.subgraph.num_edges
+
+
+def test_cached_masks_equal_adjacency_masks():
+    for seed in range(20):
+        g = generate_er(1 + seed % 8, 0.5, 2, seed=seed, gid="g")
+        assert g.masks == tuple(g.adjacency_masks())
+        assert g.masks is g.masks
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "object"),
+        ({"id": "g", "labels": [0]}, "edges"),
+        ({"id": 3, "labels": [0], "edges": []}, "id"),
+        ({"id": "g", "labels": [0, 1.7], "edges": []}, "labels"),
+        ({"id": "g", "labels": [0, True], "edges": []}, "labels"),
+        ({"id": "g", "labels": 5, "edges": []}, "labels"),
+        ({"id": "g", "labels": [0, 1], "edges": [[0]]}, "edges"),
+        ({"id": "g", "labels": [0, 1], "edges": [[0, 1.0]]}, "edges"),
+        ({"id": "g", "labels": [0, 1], "edges": [[0, False]]}, "edges"),
+        ({"id": "g", "labels": [0, 1], "edges": "01"}, "edges"),
+    ],
+)
+def test_graph_from_json_rejects_malformed_records(doc, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_json(doc)
+
+
+def test_graph_from_json_normalizes_like_make():
+    doc = {"id": "g", "labels": [0, 2, 1], "edges": [[2, 1], [0, 2]], "extra": None}
+    assert Graph.from_json(doc) == Graph.make("g", [0, 2, 1], [(1, 2), (0, 2)])

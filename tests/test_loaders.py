@@ -1,0 +1,130 @@
+"""Fuzzing the two file loaders: any JSON value either loads or is refused
+with a ValueError, and the CLI answers with exit code 0 or 2, never a
+traceback.
+
+The documents are valid files with up to two places deleted or replaced by
+arbitrary JSON, the whole document included, so that both the loaders'
+checks and what runs after a successful load are reached.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gedraft.cli import EXIT_OK, EXIT_USAGE, main, read_graph
+from gedraft.dataset import SPLITS, read_dataset
+from gedraft.graphs import Graph
+
+SETTINGS = settings(
+    max_examples=250, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+IDS = ("a", "b", "c")
+
+
+@st.composite
+def graph_records(draw, gid="g"):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # edges may come reversed or repeated
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pool), max_size=2 * n)) if pool else []
+    return {"id": gid, "labels": labels, "edges": [list(e) for e in edges]}
+
+
+@st.composite
+def dataset_docs(draw):
+    graphs = [draw(graph_records(gid)) for gid in IDS]
+    built = {rec["id"]: Graph.make(rec["id"], rec["labels"], rec["edges"]) for rec in graphs}
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        gi, gj = built[draw(st.sampled_from(IDS))], built[draw(st.sampled_from(IDS))]
+        ged = draw(st.integers(0, gi.n + gi.num_edges + gj.n + gj.num_edges))
+        d = ged / ((gi.n + gj.n) / 2)
+        pairs.append({
+            "i": gi.id, "j": gj.id, "ged": ged, "nged": d, "sim": math.exp(-d),
+            "split": draw(st.sampled_from(SPLITS)),
+        })
+    return {"version": "1", "alphabet": ["x", "y", "z", "w"], "graphs": graphs, "pairs": pairs}
+
+
+def places(doc, prefix=()):
+    """The key or index path of every value in a JSON document."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from places(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, valid):
+    doc = draw(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        place = draw(st.sampled_from(list(places(doc))))
+        if not place:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in place[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[place[-1]]
+        else:
+            parent[place[-1]] = draw(json_values)
+    return doc
+
+
+def write_json(directory, name, doc) -> str:
+    path = Path(directory) / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@SETTINGS
+@given(mutated(graph_records()))
+def test_graph_files_load_or_exit_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(tmp, "g.json", doc)
+        try:
+            read_graph(path)
+            loaded = True
+        except ValueError:
+            loaded = False
+        # against a one-node graph the search is short whatever the file holds
+        one = write_json(tmp, "one.json", {"id": "one", "labels": [0], "edges": []})
+        for a, b in ((path, one), (one, path)):
+            code = main(["ged", "--a", a, "--b", b])
+            assert code == (EXIT_OK if loaded else EXIT_USAGE)
+
+
+@SETTINGS
+@given(mutated(dataset_docs()))
+def test_dataset_files_load_or_exit_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(tmp, "ds.json", doc)
+        try:
+            read_dataset(path)
+            loaded = True
+        except ValueError:
+            loaded = False
+        code = main([
+            "train", "--dataset", path, "--out", str(Path(tmp) / "m.json"),
+            "--hidden", "2", "--layers", "1", "--epochs", "1", "--validations", "1",
+            "--quiet",
+        ])
+        assert code in ((EXIT_OK, EXIT_USAGE) if loaded else (EXIT_USAGE,))
