@@ -1,8 +1,9 @@
 """Minimal dense-tensor reverse-mode differentiation engine.
 
 Double precision throughout. The operator set is exactly what the model
-needs: elementwise arithmetic, matmul, the activations, temperature
-softmax, layer norm, concat/gather, axis reductions, and MSE loss.
+needs: elementwise arithmetic, matmul on operands of 2+ dimensions, linear
+(x @ W + b as one node), the activations, temperature softmax, layer norm,
+concat/gather, axis reductions (max over one axis), and MSE loss.
 
 Broadcasting is limited to bias addition over the last axis and leading
 batch dimensions in matmul/elementwise ops; gradients of broadcast
@@ -63,22 +64,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.values.copy())
-
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -187,37 +172,43 @@ def scalar_mul(a, c: float) -> Tensor:
 # linear algebra and shaping
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.values, b.values
+def _matmul_values(a: Tensor, b: Tensor) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs 2-D or batched operands, got {a.shape} and {b.shape}")
     try:
-        out = np.matmul(av, bv)
+        return np.matmul(a.values, b.values)
     except ValueError:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} incompatible")
 
-    if av.ndim == 1 and bv.ndim == 1:
-        parents = [
-            (a, lambda g: g * bv),
-            (b, lambda g: g * av),
-        ]
-    elif av.ndim == 1:
-        # (n,) @ (..., n, k) -> (..., k)
-        parents = [
-            (a, lambda g: _unbroadcast(np.matmul(g[..., None, :], np.swapaxes(bv, -1, -2))[..., 0, :], a.shape)),
-            (b, lambda g: _unbroadcast(av[:, None] * g[..., None, :], b.shape)),
-        ]
-    elif bv.ndim == 1:
-        # (..., m, n) @ (n,) -> (..., m)
-        parents = [
-            (a, lambda g: _unbroadcast(g[..., :, None] * bv, a.shape)),
-            (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g[..., :, None])[..., 0], b.shape)),
-        ]
-    else:
-        parents = [
+
+def matmul(a, b) -> Tensor:
+    """Batched matrix product; both operands have 2 or more dimensions."""
+    a, b = as_tensor(a), as_tensor(b)
+    av, bv = a.values, b.values
+    return _make(
+        _matmul_values(a, b),
+        [
             (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape)),
             (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape)),
-        ]
-    return _make(out, parents)
+        ],
+    )
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node. With b broadcast over the rows of x @ w, the
+    values and gradients equal add(matmul(x, w), b) bit for bit."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xv, wv = x.values, w.values
+    prod = _matmul_values(x, w)
+    _check_broadcast(prod.shape, b.shape)
+    return _make(
+        prod + b.values,
+        [
+            (x, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(wv, -1, -2)), x.shape)),
+            (w, lambda g: _unbroadcast(np.matmul(np.swapaxes(xv, -1, -2), g), w.shape)),
+            (b, lambda g: _unbroadcast(g, b.shape)),
+        ],
+    )
 
 
 def reshape(a, shape) -> Tensor:
@@ -391,24 +382,12 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.values.mean(axis=axes, keepdims=keepdims), [(a, grad_fn)])
 
 
-def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Max over axes; the gradient flows to the first maximal index."""
+def reduce_max(a, axis: int, keepdims: bool = False) -> Tensor:
+    """Max over one axis; the gradient flows to the first maximal index."""
     a = as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
-    if len(axes) != 1 and len(axes) != a.ndim:
-        raise ShapeError("reduce_max supports a single axis or all axes")
-    if len(axes) == a.ndim:
-        flat_idx = int(np.argmax(a.values))
-        out = a.values.max()
-
-        def grad_fn(g):
-            res = np.zeros(a.shape)
-            res.flat[flat_idx] = float(g)
-            return res
-
-        values = out if keepdims is False else np.full((1,) * a.ndim, out)
-        return _make(values, [(a, grad_fn)])
-
+    if len(axes) != 1:
+        raise ShapeError("reduce_max supports a single axis")
     ax = axes[0]
     idx = np.argmax(a.values, axis=ax)
     out = a.values.max(axis=ax, keepdims=keepdims)

@@ -225,6 +225,8 @@ def _gradcheck_cases():
         "reduce_sum": (lambda a: ad.reduce_sum(ad.reduce_sum(a, axis=0)), [t((4, 3))]),
         "reduce_max": (lambda a: ad.reduce_sum(ad.reduce_max(a, axis=0)), [t((4, 3))]),
         "mse_loss": (lambda a, b: ad.mse_loss(a, b), [t((5,)), t((5,))]),
+        "linear": (lambda x, w, b: ad.reduce_sum(ad.tanh(ad.linear(x, w, b))),
+                   [t((2, 3, 4)), t((4, 2)), t((2,))]),
     }
     return cases
 

@@ -5,6 +5,9 @@ A linear input projection is followed by K enhanced message-passing layers
 add, then a two-layer feed-forward block). A graph-level readout (mean,
 max, sum, or global context attention) is taken at every scale 0..K.
 
+``init_mlp`` and ``mlp`` are the one relu MLP of the model stack, used by
+the feed-forward blocks, the fusion MLPs, the regressor and the RESAT probe.
+
 Graphs are encoded in batches grouped by node count so each group runs as
 one set of batched tensor ops.
 """
@@ -23,6 +26,27 @@ READOUTS = ("mean", "max", "sum", "gca")
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
+
+
+def init_mlp(rng: np.random.Generator, widths, prefix: str) -> dict:
+    """Layer k from widths[k-1] to widths[k]: Xavier ``{prefix}.W{k}``, drawn
+    for k = 1, 2, ... in order, and zero ``{prefix}.b{k}``."""
+    p: dict[str, Tensor] = {}
+    for k, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
+        p[f"{prefix}.W{k}"] = Tensor(
+            xavier_uniform(rng, fan_in, fan_out, (fan_in, fan_out)), requires_grad=True
+        )
+        p[f"{prefix}.b{k}"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    return p
+
+
+def mlp(x, params: dict, prefix: str, depth: int) -> Tensor:
+    """``depth`` linear layers with a relu between layers, none after the last."""
+    for k in range(1, depth + 1):
+        x = ad.linear(x, params[f"{prefix}.W{k}"], params[f"{prefix}.b{k}"])
+        if k < depth:
+            x = ad.relu(x)
+    return x
 
 
 def init_encoder_params(
@@ -46,10 +70,7 @@ def init_encoder_params(
         param(f"{pre}.gin.b", np.zeros(hidden))
         param(f"{pre}.gin.ln.gain", np.ones(hidden))
         param(f"{pre}.gin.ln.bias", np.zeros(hidden))
-        param(f"{pre}.ffn.W1", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
-        param(f"{pre}.ffn.b1", np.zeros(hidden))
-        param(f"{pre}.ffn.W2", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
-        param(f"{pre}.ffn.b2", np.zeros(hidden))
+        p.update(init_mlp(rng, (hidden, hidden, hidden), f"{pre}.ffn"))
     if readout == "gca":
         for k in range(layers + 1):
             param(f"encoder.gca.W{k}", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
@@ -76,17 +97,16 @@ def gin_aggregate(x, adjacency, eps) -> Tensor:
 def enhanced_layer(x, adjacency, params: dict, prefix: str) -> Tensor:
     """x + GIN(x) through a feed-forward block: FFN(x + GIN(x))."""
     agg = gin_aggregate(x, adjacency, params[f"{prefix}.eps"])
-    lin = ad.add(ad.matmul(agg, params[f"{prefix}.gin.W"]), params[f"{prefix}.gin.b"])
+    lin = ad.linear(agg, params[f"{prefix}.gin.W"], params[f"{prefix}.gin.b"])
     gin = ad.relu(
         ad.layer_norm(lin, params[f"{prefix}.gin.ln.gain"], params[f"{prefix}.gin.ln.bias"])
     )
-    res = ad.add(x, gin)
-    mid = ad.relu(ad.add(ad.matmul(res, params[f"{prefix}.ffn.W1"]), params[f"{prefix}.ffn.b1"]))
-    return ad.add(ad.matmul(mid, params[f"{prefix}.ffn.W2"]), params[f"{prefix}.ffn.b2"])
+    return mlp(ad.add(x, gin), params, f"{prefix}.ffn", 2)
 
 
 def readout(x, kind: str, weight=None) -> Tensor:
-    """Aggregate node features (n, h) or (B, n, h) into graph vector(s)."""
+    """Aggregate node features (n, h) or (B, n, h) into graph vector(s);
+    gca takes batched (B, n, h) features only."""
     x = ad.as_tensor(x)
     node_axis = x.ndim - 2
     if kind == "mean":
@@ -98,10 +118,9 @@ def readout(x, kind: str, weight=None) -> Tensor:
     if kind == "gca":
         if weight is None:
             raise ValueError("gca readout needs its weight matrix")
+        if x.ndim != 3:
+            raise ad.ShapeError(f"gca readout needs features (B, n, h), got {x.shape}")
         context = ad.tanh(ad.matmul(ad.reduce_mean(x, axis=node_axis), weight))
-        if x.ndim == 2:
-            scores = ad.sigmoid(ad.matmul(x, context))  # (n,)
-            return ad.matmul(scores, x)  # (h,)
         b, _, h = x.shape
         scores = ad.sigmoid(ad.matmul(x, ad.reshape(context, (b, h, 1))))  # (B,n,1)
         out = ad.matmul(ad.swapaxes(scores, 1, 2), x)  # (B,1,h)
@@ -117,12 +136,23 @@ def _encode_stack(xs: Tensor, adjacency: Tensor, params, layers, readout_kind):
         w = params.get(f"encoder.gca.W{k}") if readout_kind == "gca" else None
         return readout(x, readout_kind, w)
 
-    x = ad.add(ad.matmul(xs, params["encoder.proj.W"]), params["encoder.proj.b"])
+    x = ad.linear(xs, params["encoder.proj.W"], params["encoder.proj.b"])
     scales.append(read(x, 0))
     for k in range(1, layers + 1):
         x = enhanced_layer(x, adjacency, params, f"encoder.layer{k}")
         scales.append(read(x, k))
     return scales
+
+
+def distinct_graphs(graphs: list[Graph]) -> tuple[list[Graph], list[int]]:
+    """Distinct-id graphs in first-seen order, and each input's row among them."""
+    rows: dict[str, int] = {}
+    unique: list[Graph] = []
+    for g in graphs:
+        if g.id not in rows:
+            rows[g.id] = len(unique)
+            unique.append(g)
+    return unique, [rows[g.id] for g in graphs]
 
 
 def encode_graphs(

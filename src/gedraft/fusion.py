@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import xavier_uniform
+from .encoder import init_mlp, mlp, xavier_uniform
 
 VARIANTS = ("diffatt", "ntn", "efn", "abs", "square", "none")
 
@@ -33,10 +33,7 @@ def init_fusion_params(
         p[name] = Tensor(values, requires_grad=True)
 
     if variant == "diffatt":
-        param("fusion.mlp.W1", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
-        param("fusion.mlp.b1", np.zeros(hidden))
-        param("fusion.mlp.W2", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
-        param("fusion.mlp.b2", np.zeros(hidden))
+        p.update(init_mlp(rng, (hidden, hidden, hidden), "fusion.mlp"))
         if temperature == "learnable":
             # t = exp(log_t) keeps the temperature positive; init t = 1
             param("fusion.log_t", np.zeros(()))
@@ -54,10 +51,7 @@ def init_fusion_params(
         narrow = max(1, wide // efn_reduction)
         param("fusion.efn.Wd", xavier_uniform(rng, wide, narrow, (wide, narrow)))
         param("fusion.efn.Wu", xavier_uniform(rng, narrow, wide, (narrow, wide)))
-        param("fusion.efn.mlp.W1", xavier_uniform(rng, wide, wide, (wide, wide)))
-        param("fusion.efn.mlp.b1", np.zeros(wide))
-        param("fusion.efn.mlp.W2", xavier_uniform(rng, wide, wide, (wide, wide)))
-        param("fusion.efn.mlp.b2", np.zeros(wide))
+        p.update(init_mlp(rng, (wide, wide, wide), "fusion.efn.mlp"))
     elif variant in ("abs", "square", "none"):
         pass
     else:
@@ -81,11 +75,9 @@ def diffatt(h_i, h_j, params: dict, temperature="learnable"):
     alpha = softmax(MLP(|h_i - h_j|) / t) rescales both embeddings
     element-wise; with a learnable temperature t = exp(log_t).
     """
-    diff = ad.absolute(ad.sub(h_i, h_j))
-    mid = ad.relu(ad.add(ad.matmul(diff, params["fusion.mlp.W1"]), params["fusion.mlp.b1"]))
-    h_diff = ad.add(ad.matmul(mid, params["fusion.mlp.W2"]), params["fusion.mlp.b2"])
+    h_diff = mlp(ad.absolute(ad.sub(h_i, h_j)), params, "fusion.mlp", 2)
     if temperature == "learnable":
-        scaled = ad.mul(h_diff, ad.exp(-params["fusion.log_t"]))
+        scaled = ad.mul(h_diff, ad.exp(ad.scalar_mul(params["fusion.log_t"], -1.0)))
         alpha = ad.softmax_with_temperature(scaled, 1.0, axis=-1)
     else:
         alpha = ad.softmax_with_temperature(h_diff, float(temperature), axis=-1)
@@ -114,8 +106,7 @@ def efn(h_i, h_j, params: dict) -> Tensor:
     h = ad.concat([ad.as_tensor(h_i), ad.as_tensor(h_j)], axis=-1)
     gate = ad.sigmoid(ad.matmul(ad.relu(ad.matmul(h, params["fusion.efn.Wd"])), params["fusion.efn.Wu"]))
     gated = ad.add(ad.mul(gate, h), h)
-    mid = ad.relu(ad.add(ad.matmul(gated, params["fusion.efn.mlp.W1"]), params["fusion.efn.mlp.b1"]))
-    return ad.add(ad.matmul(mid, params["fusion.efn.mlp.W2"]), params["fusion.efn.mlp.b2"])
+    return mlp(gated, params, "fusion.efn.mlp", 2)
 
 
 def distance_fusion(h_i, h_j, p: int) -> Tensor:

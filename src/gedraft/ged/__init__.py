@@ -1,9 +1,10 @@
 """Exact graph edit distance under unit costs.
 
 The search kernel has a compiled C implementation and a pure-Python
-fallback with identical results; the compiled one is preferred at import
-time. ``BACKEND`` is ``"c"`` or ``"python"``; set ``GEDRAFT_PURE=1`` to
-force the pure-Python kernel.
+fallback with identical results; the compiled one is used whenever it was
+built. ``BACKEND`` is ``"c"`` or ``"python"``. The pure-Python kernel
+(``_astar_py``) is also the reference the tests compare the compiled one
+against.
 """
 
 from .core import (

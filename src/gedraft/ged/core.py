@@ -19,25 +19,20 @@ bound on the true GED.
 from __future__ import annotations
 
 import math
-import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
 from ..graphs import Graph, require_valid
 
-if os.environ.get("GEDRAFT_PURE"):
+try:
+    from . import _astar as _kernel  # type: ignore[attr-defined]
+
+    BACKEND = "c"
+except ImportError:  # built without a C compiler
     from . import _astar_py as _kernel
 
     BACKEND = "python"
-else:
-    try:
-        from . import _astar as _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "c"
-    except ImportError:
-        from . import _astar_py as _kernel
-
-        BACKEND = "python"
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -224,14 +219,7 @@ def ged_bruteforce(g1: Graph, g2: Graph) -> int:
 
 def lower_bound_labels(g1: Graph, g2: Graph) -> int:
     """Admissible lower bound: label-multiset distance plus edge-count gap."""
-    size = _alphabet_size(g1, g2)
-    c1 = [0] * size
-    c2 = [0] * size
-    for lab in g1.labels:
-        c1[lab] += 1
-    for lab in g2.labels:
-        c2[lab] += 1
-    overlap = sum(min(a, b) for a, b in zip(c1, c2))
+    overlap = sum((Counter(g1.labels) & Counter(g2.labels)).values())
     node_bound = max(g1.n, g2.n) - overlap
     return node_bound + abs(g1.num_edges - g2.num_edges)
 

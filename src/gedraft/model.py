@@ -23,6 +23,7 @@ from .dataset import json_float
 from .graphs import Graph
 
 CHECKPOINT_VERSION = "1"
+_INT_FIELDS = ("alphabet_size", "hidden", "layers", "ntn_slices", "efn_reduction", "seed")
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.alphabet_size < 1 or self.hidden < 1 or self.layers < 1:
             raise ValueError("alphabet_size, hidden, and layers must be >= 1")
+        if self.ntn_slices < 1 or self.efn_reduction < 1 or self.seed < 0:
+            raise ValueError("ntn_slices and efn_reduction must be >= 1, seed >= 0")
         if self.readout not in enc.READOUTS:
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.fusion not in fus.VARIANTS:
@@ -61,11 +64,25 @@ class ModelConfig:
         return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "ModelConfig":
-        known = set(ModelConfig.__dataclass_fields__)
-        unknown = set(doc) - known
+    def from_json(doc) -> "ModelConfig":
+        """The config in a JSON object; ValueError for anything else, such as
+        an integer field that is not a JSON integer or is a boolean."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be an object, got {type(doc).__name__}")
+        unknown = set(doc) - set(ModelConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "alphabet_size" not in doc:
+            raise ValueError("config lacks alphabet_size")
+        for key, value in doc.items():
+            if key in _INT_FIELDS:
+                ok = type(value) is int
+            elif key == "temperature":
+                ok = value == "learnable" or type(value) in (int, float)
+            else:
+                ok = isinstance(value, str)
+            if not ok:
+                raise ValueError(f"config field {key!r} has a value of the wrong type: {value!r}")
         return ModelConfig(**doc)
 
 
@@ -77,22 +94,13 @@ def init_params(cfg: ModelConfig) -> dict:
             rng, cfg.fusion, cfg.hidden, cfg.temperature, cfg.ntn_slices, cfg.efn_reduction
         )
     )
-    d = cfg.fused_dim
-    h1, h2 = cfg.regressor_widths
-    params["regressor.W1"] = Tensor(enc.xavier_uniform(rng, d, h1, (d, h1)), requires_grad=True)
-    params["regressor.b1"] = Tensor(np.zeros(h1), requires_grad=True)
-    params["regressor.W2"] = Tensor(enc.xavier_uniform(rng, h1, h2, (h1, h2)), requires_grad=True)
-    params["regressor.b2"] = Tensor(np.zeros(h2), requires_grad=True)
-    params["regressor.W3"] = Tensor(enc.xavier_uniform(rng, h2, 1, (h2, 1)), requires_grad=True)
-    params["regressor.b3"] = Tensor(np.zeros(1), requires_grad=True)
+    params.update(enc.init_mlp(rng, (cfg.fused_dim, *cfg.regressor_widths, 1), "regressor"))
     return params
 
 
 def regress(fused: Tensor, params: dict) -> Tensor:
     """Two-hidden-layer relu MLP down to one unclamped scalar per row."""
-    x = ad.relu(ad.add(ad.matmul(fused, params["regressor.W1"]), params["regressor.b1"]))
-    x = ad.relu(ad.add(ad.matmul(x, params["regressor.W2"]), params["regressor.b2"]))
-    out = ad.add(ad.matmul(x, params["regressor.W3"]), params["regressor.b3"])
+    out = enc.mlp(fused, params, "regressor", 3)
     return ad.reshape(out, (out.shape[0],))
 
 
@@ -116,18 +124,10 @@ def forward_pairs(pairs: list[tuple[Graph, Graph]], params: dict, cfg: ModelConf
 
     Each distinct graph in the batch is encoded once.
     """
-    unique: dict[str, int] = {}
-    graphs: list[Graph] = []
-    for gi, gj in pairs:
-        for g in (gi, gj):
-            if g.id not in unique:
-                unique[g.id] = len(graphs)
-                graphs.append(g)
+    graphs, rows = enc.distinct_graphs([g for pair in pairs for g in pair])
     scales = enc.encode_graphs(graphs, params, cfg.alphabet_size, cfg.layers, cfg.readout)
-    idx_i = [unique[gi.id] for gi, _ in pairs]
-    idx_j = [unique[gj.id] for _, gj in pairs]
-    scales_i = [ad.index_rows(s, idx_i) for s in scales]
-    scales_j = [ad.index_rows(s, idx_j) for s in scales]
+    scales_i = [ad.index_rows(s, rows[0::2]) for s in scales]
+    scales_j = [ad.index_rows(s, rows[1::2]) for s in scales]
     fused = fused_pair_embedding(scales_i, scales_j, params, cfg)
     return regress(fused, params)
 
@@ -159,9 +159,37 @@ def _array_json(a: np.ndarray):
     }
 
 
-def _array_from_json(doc) -> np.ndarray:
-    values = np.asarray(doc["values"], dtype=np.float64)
-    return values.reshape(doc["shape"])
+def _array_from_json(doc, what: str) -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{what} is not an object")
+    shape, values = doc.get("shape"), doc.get("values")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(f"{what} has no list of dimensions as its shape")
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise CheckpointError(f"{what} has no list of numbers as its values")
+    try:
+        array = np.asarray(values, dtype=np.float64).reshape(shape)
+    except (OverflowError, ValueError) as exc:  # beyond double range, or wrong count
+        raise CheckpointError(f"{what}: {exc}")
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"{what} holds a non-finite number")
+    return array
+
+
+def _arrays_from_json(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{what} is not an object")
+    return {name: _array_from_json(rec, f"{what} {name!r}") for name, rec in doc.items()}
+
+
+def _check_shapes(arrays: dict, shapes: dict, what: str) -> None:
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise CheckpointError(f"missing {what} {name!r}")
+        if arrays[name].shape != tuple(shape):
+            raise CheckpointError(
+                f"{what} {name!r} has shape {arrays[name].shape}, expected {tuple(shape)}"
+            )
 
 
 def save_checkpoint(params: dict, cfg: ModelConfig, path, optimizer_state=None) -> None:
@@ -182,41 +210,51 @@ def save_checkpoint(params: dict, cfg: ModelConfig, path, optimizer_state=None) 
 
 
 def load_checkpoint(path):
-    """Returns (params, config, optimizer_state-or-None)."""
+    """Returns (params, config, optimizer_state-or-None); CheckpointError for
+    a file that is not a checkpoint of the current version."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: line {exc.lineno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: a checkpoint is a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unknown checkpoint version {doc.get('version')!r}; "
             f"expected {CHECKPOINT_VERSION!r}"
         )
-    cfg = ModelConfig.from_json(doc["config"])
-    reference = init_params(cfg)
-    params = {}
-    for name, ref in reference.items():
-        if name not in doc["params"]:
-            raise CheckpointError(f"missing parameter {name!r}")
-        values = _array_from_json(doc["params"][name])
-        if values.shape != ref.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {values.shape}, expected {ref.shape}"
-            )
-        params[name] = Tensor(values, requires_grad=True)
-    extra = set(doc["params"]) - set(reference)
-    if extra:
-        raise CheckpointError(f"unexpected parameters: {sorted(extra)}")
-    opt_state = None
+    try:
+        cfg = ModelConfig.from_json(doc.get("config"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}")
+    groups = {"parameter": _arrays_from_json(doc.get("params"), "parameter")}
+    # init_params allocates whatever the config asks for, so check its widths
+    # against three stored shapes first; the file's size then bounds it.
+    h = cfg.hidden
+    _check_shapes(groups["parameter"], {
+        "encoder.proj.W": (cfg.alphabet_size, h),
+        "encoder.layer1.gin.W": (h, h),
+        "regressor.W1": (cfg.fused_dim, cfg.regressor_widths[0]),
+    }, "parameter")
+    opt = doc.get("optimizer")
     if "optimizer" in doc:
-        opt = doc["optimizer"]
-        opt_state = {
-            "step": opt["step"],
-            "m": {k: _array_from_json(v) for k, v in opt["m"].items()},
-            "v": {k: _array_from_json(v) for k, v in opt["v"].items()},
-        }
-    return params, cfg, opt_state
+        if not isinstance(opt, dict) or type(opt.get("step")) is not int or opt["step"] < 0:
+            raise CheckpointError("optimizer state has no step count")
+        for key in ("m", "v"):
+            groups[f"optimizer {key}"] = _arrays_from_json(opt.get(key), f"optimizer {key}")
+    shapes = {name: t.shape for name, t in init_params(cfg).items()}
+    for what, arrays in groups.items():
+        _check_shapes(arrays, shapes, what)
+        extra = set(arrays) - set(shapes)
+        if extra:
+            raise CheckpointError(f"unexpected {what} names: {sorted(extra)}")
+    params = {name: Tensor(groups["parameter"][name], requires_grad=True) for name in shapes}
+    if opt is None:
+        return params, cfg, None
+    return params, cfg, {
+        "step": opt["step"], "m": groups["optimizer m"], "v": groups["optimizer v"]
+    }
 
 
 def copy_params(params: dict) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .encoder import encode_graphs, xavier_uniform
+from .encoder import distinct_graphs, encode_graphs, init_mlp, mlp
 from .graphs import (
     EMPTY_REMAINDER,
     Graph,
@@ -81,23 +81,14 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     bases = [t.base for t in triples]
     subs = [t.extraction.subgraph for t in triples]
     rems = [t.remaining for t in triples]
-    # distinct ids are required by the batched encoder; subgraph/remainder
-    # ids are derived from the base id and unique per triple
-    subs = [Graph(f"{g.id}#s{i}", g.labels, g.edges) for i, g in enumerate(subs)]
-    rems = [Graph(f"{g.id}#r{i}", g.labels, g.edges) for i, g in enumerate(rems)]
-    everything = bases + subs + rems
-    # deduplicate bases while keeping one encoding pass
-    unique: dict[str, int] = {}
-    glist: list[Graph] = []
-    for g in everything:
-        if g.id not in unique:
-            unique[g.id] = len(glist)
-            glist.append(g)
+    # one encoding pass over each distinct base, then every subgraph and
+    # every remainder by position
+    glist, idx_base = distinct_graphs(bases)
+    idx_sub = list(range(len(glist), len(glist) + len(subs)))
+    idx_rem = [i + len(subs) for i in idx_sub]
+    glist += subs + rems
     scales = encode_graphs(glist, params, cfg.alphabet_size, cfg.layers, cfg.readout)
     scales = [Tensor(s.values) for s in scales]  # detach: probing is frozen
-    idx_base = [unique[g.id] for g in bases]
-    idx_sub = [unique[g.id] for g in subs]
-    idx_rem = [unique[g.id] for g in rems]
     scales_i = [ad.index_rows(s, idx_base) for s in scales]
     scales_j = [ad.index_rows(s, idx_sub) for s in scales]
     fused = fused_pair_embedding(scales_i, scales_j, params, cfg)
@@ -110,26 +101,6 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
         )
         out["pre_attention"] = pre.values.copy()
     return out
-
-
-def _probe_mlp_params(rng, in_dim, out_dim, width):
-    def t(v):
-        return Tensor(v, requires_grad=True)
-
-    return {
-        "W1": t(xavier_uniform(rng, in_dim, width, (in_dim, width))),
-        "b1": t(np.zeros(width)),
-        "W2": t(xavier_uniform(rng, width, width, (width, width))),
-        "b2": t(np.zeros(width)),
-        "W3": t(xavier_uniform(rng, width, out_dim, (width, out_dim))),
-        "b3": t(np.zeros(out_dim)),
-    }
-
-
-def _probe_forward(x: Tensor, p: dict) -> Tensor:
-    h = ad.relu(ad.add(ad.matmul(x, p["W1"]), p["b1"]))
-    h = ad.relu(ad.add(ad.matmul(h, p["W2"]), p["b2"]))
-    return ad.add(ad.matmul(h, p["W3"]), p["b3"])
 
 
 def resat_probe(
@@ -160,7 +131,7 @@ def resat_probe(
     best_overall = None
     for mult in width_multipliers:
         width = mult * max(inputs.shape[1], targets.shape[1])
-        p = _probe_mlp_params(rng, inputs.shape[1], targets.shape[1], width)
+        p = init_mlp(rng, (inputs.shape[1], width, width, targets.shape[1]), "probe")
         opt = Adam(p, lr=lr)
         best = None
         for _epoch in range(epochs):
@@ -168,14 +139,10 @@ def resat_probe(
             for start in range(0, len(tr), batch_size):
                 idx = order[start : start + batch_size]
                 opt.zero_grad()
-                loss = ad.mse_loss(
-                    _probe_forward(Tensor(x_tr[idx]), p), Tensor(y_tr[idx])
-                )
+                loss = ad.mse_loss(mlp(Tensor(x_tr[idx]), p, "probe", 3), Tensor(y_tr[idx]))
                 backward(loss)
                 opt.step()
-            vloss = float(
-                ad.mse_loss(_probe_forward(x_va, p), y_va).values
-            )
+            vloss = float(ad.mse_loss(mlp(x_va, p, "probe", 3), y_va).values)
             if best is None or vloss < best:
                 best = vloss
         if best_overall is None or best < best_overall:

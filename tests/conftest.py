@@ -60,8 +60,7 @@ def _build_c_kernel():
 # gedraft, so the whole suite runs on it (labeling the acceptance datasets on
 # the pure-Python kernel is about 30x slower) and the cross-checks in
 # test_ged.py test this source. Registering the module under its package
-# name makes ``gedraft.ged`` pick it up at import; GEDRAFT_PURE=1 still
-# forces the pure-Python kernel for the rest of the suite.
+# name makes ``gedraft.ged`` pick it up at import.
 C_KERNEL = _build_c_kernel()
 if not isinstance(C_KERNEL, (str, Exception)):
     sys.modules["gedraft.ged._astar"] = C_KERNEL

@@ -112,14 +112,32 @@ def test_concat_gradient_splits():
     assert np.array_equal(b.grad, [2, 2, 2])
 
 
-def test_operator_sugar_matches_functions():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([3.0, 4.0]))
-    assert np.array_equal((a + b).values, [4, 6])
-    assert np.array_equal((a - b).values, [-2, -2])
-    assert np.array_equal((a * b).values, [3, 8])
-    assert np.array_equal((-a).values, [-1, -2])
-    assert float((a @ b).values) == 11.0
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+def test_linear_equals_add_of_matmul_bit_for_bit(x_shape):
+    rng = np.random.default_rng(11)
+    x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)
+    upstream = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+    results = []
+    for op in (ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+        out = op(x, w, b)
+        backward(ad.reduce_sum(ad.mul(out, upstream)))
+        results.append((out.values, x.grad, w.grad, b.grad))
+    for fused, split in zip(*results):
+        assert fused.shape == split.shape
+        assert fused.tobytes() == split.tobytes()
+
+
+def test_removed_unbatched_forms_raise():
+    vec, mat = Tensor(np.ones(3)), Tensor(np.ones((3, 3)))
+    for a, b in ((vec, mat), (mat, vec), (vec, vec)):
+        with pytest.raises(ShapeError):
+            ad.matmul(a, b)
+    with pytest.raises(ShapeError):
+        ad.linear(vec, mat, Tensor(np.zeros(3)))
+    for axis in (None, (0, 1)):
+        with pytest.raises(ShapeError):
+            ad.reduce_max(mat, axis=axis)
 
 
 def test_detach_blocks_gradient():

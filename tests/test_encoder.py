@@ -59,11 +59,13 @@ def test_gca_closed_form():
     # two identical unit feature vectors with identity weight:
     # context = tanh(mean) = tanh(1), score = sigmoid(tanh(1)) per node,
     # pooled = 2 * sigmoid(tanh(1)) in the active dimension
-    x = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    x = np.array([[1.0, 0.0], [1.0, 0.0]])
     w = Tensor(np.eye(2))
-    out = readout(x, "gca", w).values
+    out = readout(Tensor(x[None]), "gca", w).values[0]
     assert out[0] == pytest.approx(2 * SIGMOID_TANH_1, abs=1e-15)
     assert out[1] == 0.0
+    with pytest.raises(ad.ShapeError):  # gca reads batched (B, n, h) features only
+        readout(Tensor(x), "gca", w)
 
 
 def test_simple_readouts():

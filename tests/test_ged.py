@@ -281,6 +281,17 @@ def test_sparse_labels_give_the_dense_result():
     assert apply_edit_path(g1, g2, res) == g2
 
 
+def test_lower_bound_counts_sparse_labels():
+    # labels are counted per value present, not in lists sized by the largest
+    g1 = G.Graph.make("a", [10**12, 7, 2**40], [(0, 1), (1, 2)])
+    g2 = G.Graph.make("b", [7, 10**12], [(0, 1)])
+    d1 = G.Graph.make("a", [1, 0, 2], [(0, 1), (1, 2)])
+    d2 = G.Graph.make("b", [0, 1], [(0, 1)])
+    assert lower_bound_labels(g1, g2) == lower_bound_labels(d1, d2) <= ged_exact(g1, g2).cost
+    far, zero = G.Graph.make("a", [2**40], []), G.Graph.make("b", [0], [])
+    assert lower_bound_labels(far, zero) == 1 == ged_exact(far, zero).cost
+
+
 def test_ged_exact_calls_the_kernel_once_per_call(monkeypatch):
     # perfbench's tracer counts kernel calls by replacing ``core._kernel`` and
     # labeling calls by replacing ``synth.ged_exact``

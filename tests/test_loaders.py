@@ -1,6 +1,6 @@
-"""Fuzzing the two file loaders: any JSON value either loads or is refused
-with a ValueError, and the CLI answers with exit code 0 or 2, never a
-traceback.
+"""Fuzzing the three file loaders (graph, dataset, checkpoint): any JSON
+value either loads or is refused with a ValueError, and the CLI answers
+with exit code 0 or 2, never a traceback.
 
 The documents are valid files with up to two places deleted or replaced by
 arbitrary JSON, the whole document included, so that both the loaders'
@@ -16,8 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gedraft.cli import EXIT_OK, EXIT_USAGE, main, read_graph
-from gedraft.dataset import SPLITS, read_dataset
+from gedraft.dataset import SPLITS, read_dataset, write_dataset
+from gedraft.encoder import READOUTS
+from gedraft.fusion import VARIANTS
 from gedraft.graphs import Graph
+from gedraft.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from gedraft.optim import Adam
+from gedraft.synth import build_dataset
 
 SETTINGS = settings(
     max_examples=250, deadline=None, derandomize=True,
@@ -56,6 +61,25 @@ def dataset_docs(draw):
             "split": draw(st.sampled_from(SPLITS)),
         })
     return {"version": "1", "alphabet": ["x", "y", "z", "w"], "graphs": graphs, "pairs": pairs}
+
+
+@st.composite
+def checkpoint_docs(draw):
+    cfg = ModelConfig(
+        alphabet_size=3, hidden=2, layers=1, readout=draw(st.sampled_from(READOUTS)),
+        fusion=draw(st.sampled_from(VARIANTS)), ntn_slices=2, seed=draw(st.integers(0, 3)),
+    )
+    params = init_params(cfg)
+    state = Adam(params).state_dict() if draw(st.booleans()) else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_checkpoint(params, cfg, path, optimizer_state=state)
+        return json.loads(path.read_text())
+
+
+EVAL_DATASET, _ = build_dataset(
+    n_graphs=10, n_min=3, n_max=5, p=0.4, alphabet_size=3, seed=1, pairs_per_graph=3
+)
 
 
 def places(doc, prefix=()):
@@ -127,4 +151,20 @@ def test_dataset_files_load_or_exit_2(doc):
             "--hidden", "2", "--layers", "1", "--epochs", "1", "--validations", "1",
             "--quiet",
         ])
+        assert code in ((EXIT_OK, EXIT_USAGE) if loaded else (EXIT_USAGE,))
+
+
+@SETTINGS
+@given(mutated(checkpoint_docs()))
+def test_checkpoint_files_load_or_exit_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(tmp, "m.json", doc)
+        try:
+            load_checkpoint(path)
+            loaded = True
+        except ValueError:
+            loaded = False
+        data = str(Path(tmp) / "ds.json")
+        write_dataset(EVAL_DATASET, data)
+        code = main(["eval", "--dataset", data, "--checkpoint", path])
         assert code in ((EXIT_OK, EXIT_USAGE) if loaded else (EXIT_USAGE,))

@@ -142,6 +142,70 @@ def test_checkpoint_rejects_malformed_json(tmp_path):
         load_checkpoint(path)
 
 
+DROP = object()
+SCALAR = {"shape": [], "values": [0]}
+
+
+def _edit(*path, value=DROP):
+    """An edit that replaces the value at ``path``, or deletes it."""
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return doc
+
+    return edit
+
+
+MALFORMED_CHECKPOINTS = {
+    "not an object": lambda doc: [1],
+    "version only": lambda doc: {"version": "1"},
+    "no config": _edit("config"),
+    "no params": _edit("params"),
+    "config not an object": _edit("config", value=[3]),
+    "no alphabet size": _edit("config", "alphabet_size"),
+    "string width": _edit("config", "hidden", value="x"),
+    "float width": _edit("config", "hidden", value=4.0),
+    "boolean width": _edit("config", "hidden", value=True),
+    "list temperature": _edit("config", "temperature", value=[1.0]),
+    "zero efn reduction": _edit("config", "efn_reduction", value=0),
+    "negative seed": _edit("config", "seed", value=-1),
+    # must be refused before init_params allocates a (1e6, 1e6) matrix
+    "huge width": _edit("config", "hidden", value=10**6),
+    "huge layer count": _edit("config", "layers", value=10**6),
+    "record without values": _edit("params", "regressor.b3", "values"),
+    "string shape": _edit("params", "regressor.b3", "shape", value="1"),
+    "negative dimension": _edit("params", "regressor.b3", "shape", value=[-1]),
+    "value count off": _edit("params", "regressor.b3", "values", value=[0.0, 0.0]),
+    "string value": _edit("params", "regressor.b3", "values", value=["0"]),
+    "non-finite value": _edit("params", "regressor.b3", "values", value=[float("nan")]),
+    "value beyond double range": _edit("params", "regressor.b3", "values", value=[10**400]),
+    "record not an object": _edit("params", "regressor.b3", value=0),
+    "optimizer without moments": _edit("optimizer", value={"step": 0}),
+    "optimizer with boolean step": _edit("optimizer", "step", value=True),
+    "optimizer moment missing": _edit("optimizer", "m", "regressor.b3"),
+    "optimizer moment misshapen": _edit("optimizer", "v", "regressor.b3", value=SCALAR),
+    "optimizer moment extra": _edit("optimizer", "m", "bogus", value=SCALAR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_documents(tmp_path, name):
+    from gedraft.optim import Adam
+
+    params = init_params(CFG)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, CFG, path, optimizer_state=Adam(params).state_dict())
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(MALFORMED_CHECKPOINTS[name](doc)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_copy_params_is_deep():
     params = init_params(CFG)
     clone = copy_params(params)
