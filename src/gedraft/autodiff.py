@@ -3,11 +3,19 @@
 Double precision throughout. The operator set is exactly what the model
 needs: elementwise arithmetic, matmul on operands of 2+ dimensions, linear
 (x @ W + b as one node), the activations, temperature softmax, layer norm,
-concat/gather, axis reductions (max over one axis), and MSE loss.
+concat/gather, sum over axes, max over one axis, and MSE loss.
 
 Broadcasting is limited to bias addition over the last axis and leading
 batch dimensions in matmul/elementwise ops; gradients of broadcast
 operands are summed back to their shape. Anything else is a shape error.
+
+The tape is the ``_parents`` links of op outputs. An op records only the
+operands that require a gradient (a leaf made with ``requires_grad=True``,
+or an op output that recorded a parent), so constants are never on the tape
+and an op on constants alone records nothing: passing parameters as
+``Tensor(t.values)`` runs the model without building a tape. ``backward``
+walks the recorded links and accumulates ``.grad`` on the leaves that
+require a gradient.
 """
 
 from __future__ import annotations
@@ -71,16 +79,21 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(values, parents):
-    parents = tuple((p, fn) for p, fn in parents)
-    out = Tensor(values, requires_grad=any(p.requires_grad for p, _ in parents))
+    """An op output whose tape holds the (operand, grad_fn) pairs of the
+    operands that require a gradient."""
+    parents = tuple((p, fn) for p, fn in parents if p.requires_grad)
+    out = Tensor(values, requires_grad=bool(parents))
     out._parents = parents
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of reachable tensors."""
+    """Accumulate d(loss)/d(leaf) into .grad of the reachable leaves that
+    require a gradient."""
     if loss.shape != ():
         raise ShapeError(f"backward root must be scalar, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return
     order: list[Tensor] = []
     seen = set()
 
@@ -103,16 +116,12 @@ def backward(loss: Tensor) -> None:
     visit(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
+        g = grads.pop(id(node))
+        if not node._parents:
             if node.grad is None:
                 node.grad = np.zeros(node.shape)
             node.grad = node.grad + g
         for parent, fn in node._parents:
-            if not parent.requires_grad and not parent._parents:
-                continue
             contrib = fn(g)
             key = id(parent)
             if key in grads:
@@ -367,19 +376,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(g, a.shape).copy()
 
     return _make(a.values.sum(axis=axes, keepdims=keepdims), [(a, grad_fn)])
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    axes = _axis_tuple(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-
-    def grad_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape) / count
-
-    return _make(a.values.mean(axis=axes, keepdims=keepdims), [(a, grad_fn)])
 
 
 def reduce_max(a, axis: int, keepdims: bool = False) -> Tensor:

@@ -8,8 +8,10 @@ max, sum, or global context attention) is taken at every scale 0..K.
 ``init_mlp`` and ``mlp`` are the one relu MLP of the model stack, used by
 the feed-forward blocks, the fusion MLPs, the regressor and the RESAT probe.
 
-Graphs are encoded in batches grouped by node count so each group runs as
-one set of batched tensor ops.
+A batch of graphs is encoded in one pass: node features and adjacency are
+zero-padded to the batch's largest graph, and a node mask keeps the padded
+rows out of every readout. A padded row has no edges, so message passing
+never carries it into a real node.
 """
 
 from __future__ import annotations
@@ -104,37 +106,47 @@ def enhanced_layer(x, adjacency, params: dict, prefix: str) -> Tensor:
     return mlp(ad.add(x, gin), params, f"{prefix}.ffn", 2)
 
 
-def readout(x, kind: str, weight=None) -> Tensor:
+def readout(x, kind: str, weight=None, mask=None) -> Tensor:
     """Aggregate node features (n, h) or (B, n, h) into graph vector(s);
-    gca takes batched (B, n, h) features only."""
+    gca takes batched (B, n, h) features only.
+
+    ``mask`` (n, 1) or (B, n, 1) is 1 on real nodes and 0 on padding, and
+    defaults to all real. Mean and sum reduce over real nodes, max adds -inf
+    to padded rows, and gca masks its context mean and its scores.
+    """
     x = ad.as_tensor(x)
     node_axis = x.ndim - 2
-    if kind == "mean":
-        return ad.reduce_mean(x, axis=node_axis)
+    if mask is None:
+        mask = np.ones(x.shape[:-1] + (1,))
     if kind == "max":
-        return ad.reduce_max(x, axis=node_axis)
+        padding = Tensor(np.where(mask > 0, 0.0, -np.inf))
+        return ad.reduce_max(ad.add(x, padding), axis=node_axis)
     if kind == "sum":
-        return ad.reduce_sum(x, axis=node_axis)
+        return ad.reduce_sum(ad.mul(x, Tensor(mask)), axis=node_axis)
+    mean_weights = Tensor(mask / mask.sum(axis=node_axis, keepdims=True))
+    mean = ad.reduce_sum(ad.mul(x, mean_weights), axis=node_axis)
+    if kind == "mean":
+        return mean
     if kind == "gca":
         if weight is None:
             raise ValueError("gca readout needs its weight matrix")
         if x.ndim != 3:
             raise ad.ShapeError(f"gca readout needs features (B, n, h), got {x.shape}")
-        context = ad.tanh(ad.matmul(ad.reduce_mean(x, axis=node_axis), weight))
+        context = ad.tanh(ad.matmul(mean, weight))
         b, _, h = x.shape
         scores = ad.sigmoid(ad.matmul(x, ad.reshape(context, (b, h, 1))))  # (B,n,1)
-        out = ad.matmul(ad.swapaxes(scores, 1, 2), x)  # (B,1,h)
+        out = ad.matmul(ad.swapaxes(ad.mul(scores, Tensor(mask)), 1, 2), x)  # (B,1,h)
         return ad.reshape(out, (b, h))
     raise ValueError(f"unknown readout {kind!r}")
 
 
-def _encode_stack(xs: Tensor, adjacency: Tensor, params, layers, readout_kind):
-    """Per-scale readouts for one batch of same-size graphs."""
+def _encode_stack(xs: Tensor, adjacency: Tensor, mask: np.ndarray, params, layers, readout_kind):
+    """Per-scale readouts for one padded batch of graphs."""
     scales = []
 
     def read(x, k):
         w = params.get(f"encoder.gca.W{k}") if readout_kind == "gca" else None
-        return readout(x, readout_kind, w)
+        return readout(x, readout_kind, w, mask)
 
     x = ad.linear(xs, params["encoder.proj.W"], params["encoder.proj.b"])
     scales.append(read(x, 0))
@@ -160,30 +172,26 @@ def encode_graphs(
 ) -> list[Tensor]:
     """Encode a batch of graphs; returns one (B, hidden) tensor per scale.
 
-    Rows follow the input order. Graphs are grouped by node count so that
-    each group is a single batched pass.
+    Rows follow the input order. All graphs run as one batched pass over
+    one-hot features (B, n_max, alphabet_size), adjacency (B, n_max, n_max)
+    and a node mask (B, n_max, 1), zero-padded to the largest graph.
     """
-    for g in graphs:
-        if g.labels and max(g.labels) >= alphabet_size:
-            raise ValueError(f"graph {g.id!r} has a label outside the alphabet")
-    groups: dict[int, list[int]] = {}
-    for idx, g in enumerate(graphs):
-        groups.setdefault(g.n, []).append(idx)
-    per_group_scales = []
-    order: list[int] = []
-    for n in sorted(groups):
-        idxs = groups[n]
-        order.extend(idxs)
-        xs = Tensor(np.stack([graphs[i].one_hot(alphabet_size) for i in idxs]))
-        adj = Tensor(np.stack([graphs[i].adjacency() for i in idxs]))
-        per_group_scales.append(_encode_stack(xs, adj, params, layers, readout_kind))
-    inverse = np.empty(len(graphs), dtype=np.intp)
-    inverse[np.asarray(order, dtype=np.intp)] = np.arange(len(graphs))
-    out = []
-    for k in range(layers + 1):
-        stacked = ad.concat([gs[k] for gs in per_group_scales], axis=0)
-        out.append(ad.index_rows(stacked, inverse))
-    return out
+    sizes = np.array([g.n for g in graphs])
+    labels = np.array([label for g in graphs for label in g.labels], dtype=np.intp)
+    if labels.max() >= alphabet_size:
+        bad = next(g for g in graphs if max(g.labels) >= alphabet_size)
+        raise ValueError(f"graph {bad.id!r} has a label outside the alphabet")
+    n_max = int(sizes.max())
+    row = np.repeat(np.arange(len(graphs)), sizes)  # each node's graph
+    node = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[row]
+    xs = np.zeros((len(graphs), n_max, alphabet_size))
+    xs[row, node, labels] = 1.0
+    edges = [(b, u, v) for b, g in enumerate(graphs) for u, v in g.edges]
+    b, u, v = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+    adj = np.zeros((len(graphs), n_max, n_max))
+    adj[b, u, v] = adj[b, v, u] = 1.0
+    mask = (np.arange(n_max) < sizes[:, None])[:, :, None].astype(np.float64)
+    return _encode_stack(Tensor(xs), Tensor(adj), mask, params, layers, readout_kind)
 
 
 def encode(g: Graph, params: dict, alphabet_size: int, layers: int, readout_kind: str):

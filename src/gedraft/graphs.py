@@ -104,11 +104,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_set
 
-    def one_hot(self, alphabet_size: int) -> np.ndarray:
-        x = np.zeros((self.n, alphabet_size), dtype=np.float64)
-        x[np.arange(self.n), list(self.labels)] = 1.0
-        return x
-
 
 @dataclass(frozen=True)
 class SubgraphExtraction:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelConfig, forward_pairs
+from .model import ModelConfig, forward_pairs, frozen
 
 
 class Correlation(NamedTuple):
@@ -84,6 +84,8 @@ def precision_at_k(pred, true, k: int, ids=None) -> float:
     True-side ties at the rank-k boundary expand the true set (denominator
     stays k); the predicted top-k breaks ties by ascending id.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     pred = np.asarray(pred, dtype=float)
     true = np.asarray(true, dtype=float)
     n = len(pred)
@@ -119,7 +121,8 @@ class MetricsReport:
 
 
 def predict_pairs(pair_list, dataset, params, cfg: ModelConfig, batch_size: int = 512):
-    """Raw model scores for PairRecords, in order."""
+    """Raw model scores for PairRecords, in order; builds no autodiff tape."""
+    params = frozen(params)
     out = np.empty(len(pair_list))
     for start in range(0, len(pair_list), batch_size):
         chunk = pair_list[start : start + batch_size]
@@ -134,7 +137,8 @@ def evaluate(
     """Score every test pair and aggregate ranking metrics per query.
 
     Test pairs are (query id, corpus id) records; the per-query candidate
-    list is ordered by ascending corpus graph id.
+    list is ordered by ascending corpus graph id. ValueError for a k below 1
+    (from ``precision_at_k``).
     """
     test_pairs = dataset.split_pairs("test")
     if not test_pairs:

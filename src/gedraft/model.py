@@ -264,6 +264,12 @@ def copy_params(params: dict) -> dict:
     }
 
 
+def frozen(params: dict) -> dict:
+    """The parameters as constants that share their values: a forward pass
+    over them builds no autodiff tape."""
+    return {name: Tensor(t.values) for name, t in params.items()}
+
+
 def params_equal(a: dict, b: dict) -> bool:
     if set(a) != set(b):
         return False

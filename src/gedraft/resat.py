@@ -25,7 +25,7 @@ from .graphs import (
     remaining_subgraph,
 )
 from .metrics import evaluate, spearman_checked
-from .model import ModelConfig, fused_pair_embedding, params_equal
+from .model import ModelConfig, frozen, fused_pair_embedding, params_equal
 from .optim import Adam
 from .rng import SplitMix64
 
@@ -76,8 +76,10 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
 
     Returns {"fused": (n, fused_dim), "target": (n, (K+1)*hidden)} and,
     for the diffatt variant, additionally "pre_attention": the concat of
-    the raw per-scale embedding pairs before attention rescaling.
+    the raw per-scale embedding pairs before attention rescaling. The model
+    runs on frozen parameters, so no autodiff tape is built.
     """
+    params = frozen(params)
     bases = [t.base for t in triples]
     subs = [t.extraction.subgraph for t in triples]
     rems = [t.remaining for t in triples]
@@ -88,7 +90,6 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     idx_rem = [i + len(subs) for i in idx_sub]
     glist += subs + rems
     scales = encode_graphs(glist, params, cfg.alphabet_size, cfg.layers, cfg.readout)
-    scales = [Tensor(s.values) for s in scales]  # detach: probing is frozen
     scales_i = [ad.index_rows(s, idx_base) for s in scales]
     scales_j = [ad.index_rows(s, idx_sub) for s in scales]
     fused = fused_pair_embedding(scales_i, scales_j, params, cfg)
@@ -142,7 +143,7 @@ def resat_probe(
                 loss = ad.mse_loss(mlp(Tensor(x_tr[idx]), p, "probe", 3), Tensor(y_tr[idx]))
                 backward(loss)
                 opt.step()
-            vloss = float(ad.mse_loss(mlp(x_va, p, "probe", 3), y_va).values)
+            vloss = float(ad.mse_loss(mlp(x_va, frozen(p), "probe", 3), y_va).values)
             if best is None or vloss < best:
                 best = vloss
         if best_overall is None or best < best_overall:
@@ -217,8 +218,8 @@ def resat_compare(
                     ]
                 )
             )
-        frozen = {k: Tensor(v) for k, v in before_snapshot.items()}
-        if not params_equal(frozen, {k: Tensor(t.values) for k, t in params.items()}):
+        snapshot = {k: Tensor(v) for k, v in before_snapshot.items()}
+        if not params_equal(snapshot, params):
             raise RuntimeError(f"probing mutated parameters of variant {name!r}")
         rows.append(row)
     if len(rows) >= 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward
-from .model import ModelConfig, batch_loss, copy_params, forward_pairs, init_params
+from .model import ModelConfig, batch_loss, copy_params, forward_pairs, frozen, init_params
 from .optim import Adam
 
 
@@ -41,6 +41,8 @@ def _pair_views(dataset, split):
 
 
 def validation_loss(params, cfg, graphs, sims, batch_size=512) -> float:
+    """Mean squared error over the pairs; builds no autodiff tape."""
+    params = frozen(params)
     preds = np.empty(len(graphs))
     for start in range(0, len(graphs), batch_size):
         chunk = graphs[start : start + batch_size]

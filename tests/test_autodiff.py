@@ -153,6 +153,30 @@ def test_constant_leaves_get_no_grad():
     assert c.grad is None
 
 
+def test_ops_on_constants_record_no_tape():
+    c1, c2 = Tensor(np.ones((2, 3))), Tensor(np.full((3, 2), 2.0))
+    out = ad.tanh(ad.linear(c1, c2, Tensor(np.zeros(2))))
+    assert not out.requires_grad and out._parents == ()
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    mixed = ad.mul(c1, x)
+    assert mixed.requires_grad and [p for p, _ in mixed._parents] == [x]
+
+
+def test_backward_of_a_constant_root_does_nothing():
+    c = Tensor(np.ones(3))
+    loss = ad.reduce_sum(ad.mul(c, c))
+    backward(loss)
+    assert c.grad is None and loss.grad is None
+
+
+def test_only_leaves_get_grad():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = ad.scalar_mul(x, 2.0)
+    backward(ad.reduce_sum(y))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+    assert y.grad is None
+
+
 def test_mse_loss_value():
     loss = ad.mse_loss(Tensor(np.array([1.0, 2.0])), Tensor(np.array([0.0, 4.0])))
     assert float(loss.values) == 2.5

@@ -184,3 +184,48 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys):
     code = main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json"), "--quiet"])
     assert code == EXIT_USAGE
     assert "graphs" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_symbol_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli2") / "ds2.json"
+    assert main(
+        [
+            "gen", "--n-graphs", "12", "--n-min", "4", "--n-max", "6",
+            "--labels", "2", "--seed", "6", "--pairs-per-graph", "4", "--out", str(path),
+        ]
+    ) == EXIT_OK
+    assert len(read_dataset(path).alphabet) == 2
+    return path
+
+
+def test_eval_rejects_checkpoint_of_another_alphabet(workspace, two_symbol_dataset, capsys):
+    code = main(
+        ["eval", "--dataset", str(two_symbol_dataset), "--checkpoint", str(workspace["checkpoint"])]
+    )
+    assert code == EXIT_USAGE
+    assert "3 label symbols" in capsys.readouterr().err
+
+
+def test_resat_rejects_checkpoint_of_another_alphabet(workspace, two_symbol_dataset, capsys):
+    code = main(
+        [
+            "resat", "--dataset", str(two_symbol_dataset),
+            "--checkpoint", f"abs={workspace['checkpoint']}", "--probe-epochs", "2",
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "3 label symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_eval_rejects_k_below_one(workspace, capsys, k):
+    code = main(
+        [
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", str(workspace["checkpoint"]), "--k", k,
+        ]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "k >= 1" in captured.err and captured.out == ""

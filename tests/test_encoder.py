@@ -127,3 +127,47 @@ def test_gradients_flow_to_all_encoder_params():
     ad.backward(loss)
     for name, t in params.items():
         assert t.grad is not None, name
+
+
+@pytest.mark.parametrize("kind", READOUTS)
+def test_padding_leaves_a_graph_encoding_unchanged(kind):
+    params = make_params(kind)
+    small = generate_er(3, 0.6, 3, seed=7, gid="small")
+    large = generate_er(7, 0.5, 3, seed=8, gid="large")
+    alone = encode_graphs([small], params, 3, 2, kind)
+    for batch, row in (([small, large], 0), ([large, small], 1)):
+        padded = encode_graphs(batch, params, 3, 2, kind)
+        for s_alone, s_padded in zip(alone, padded):
+            assert np.allclose(s_padded.values[row], s_alone.values[0], rtol=0, atol=1e-12)
+
+
+def test_max_readout_ignores_padding_of_negative_features():
+    # padded rows hold zeros, above every real feature, so a mask that adds
+    # 0 instead of -inf would read them as the maximum
+    x = np.array([[[-1.0, -4.0], [-3.0, -0.5], [0.0, 0.0]],
+                  [[-2.0, -1.0], [-5.0, -6.0], [-7.0, -0.25]]])
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])[:, :, None]
+    padded = readout(Tensor(x), "max", mask=mask).values
+    assert np.array_equal(padded[0], readout(Tensor(x[0, :2]), "max").values)
+    assert np.array_equal(padded[0], [-1.0, -0.5])
+    assert np.array_equal(padded[1], [-2.0, -0.25])
+
+
+@pytest.mark.parametrize("kind", READOUTS)
+def test_mixed_size_batch_gradients_are_sums_of_per_graph_gradients(kind):
+    params = make_params(kind)
+    graphs = [generate_er(n, 0.5, 3, seed=20 + n, gid=f"g{n}") for n in (3, 6, 4)]
+    weights = np.random.default_rng(1).normal(size=(len(graphs), 3, 8))
+
+    def grads(batch, rows):
+        for t in params.values():
+            t.zero_grad()
+        scales = encode_graphs(batch, params, 3, 2, kind)
+        terms = [ad.mul(s, Tensor(weights[rows, k])) for k, s in enumerate(scales)]
+        ad.backward(ad.reduce_sum(ad.concat(terms, axis=-1)))
+        return {name: t.grad for name, t in params.items()}
+
+    batched = grads(graphs, [0, 1, 2])
+    per_graph = [grads([g], [i]) for i, g in enumerate(graphs)]
+    for name, g in batched.items():
+        assert np.allclose(g, sum(p[name] for p in per_graph), rtol=0, atol=1e-12), name

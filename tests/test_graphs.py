@@ -65,13 +65,6 @@ def test_adjacency_representations_agree():
     assert sorted(nbrs[2]) == [0, 1, 3]
 
 
-def test_one_hot():
-    x = TRIANGLE_PENDANT.one_hot(3)
-    assert x.shape == (4, 3)
-    assert np.array_equal(x.sum(axis=1), np.ones(4))
-    assert x[3, 2] == 1.0
-
-
 def test_generate_er_deterministic_and_valid():
     g1 = generate_er(7, 0.5, 3, seed=11)
     g2 = generate_er(7, 0.5, 3, seed=11)

@@ -9,12 +9,14 @@ from scipy import stats
 
 from gedraft.metrics import (
     average_ranks,
+    evaluate,
     kendall,
     kendall_checked,
     precision_at_k,
     spearman,
     spearman_checked,
 )
+from gedraft.model import ModelConfig, forward_pairs, init_params
 
 # worked examples, hand-derived by exhaustive pair counting with tie
 # correction and cross-checked against an independent implementation
@@ -141,3 +143,40 @@ def test_precision_at_k_invariant_under_monotone_transform():
 def test_precision_at_k_requires_enough_items():
     with pytest.raises(ValueError):
         precision_at_k([1.0, 2.0], [1.0, 2.0], 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_precision_at_k_rejects_k_below_one(k):
+    with pytest.raises(ValueError):
+        precision_at_k([1.0, 2.0], [1.0, 2.0], k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_evaluate_rejects_k_below_one(tiny_dataset, k):
+    cfg = ModelConfig(alphabet_size=3, hidden=4, layers=1, readout="mean", fusion="abs")
+    with pytest.raises(ValueError, match="k >= 1"):
+        evaluate(init_params(cfg), cfg, tiny_dataset, ks=(10, k))
+
+
+def test_predict_pairs_builds_no_tape(tiny_dataset, monkeypatch):
+    from gedraft import metrics
+
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt")
+    params = init_params(cfg)
+    pairs = tiny_dataset.split_pairs("test")
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(forward_pairs(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(metrics, "forward_pairs", recorded)
+    preds = metrics.predict_pairs(pairs, tiny_dataset, params, cfg, batch_size=50)
+    assert len(outputs) > 1 and not any(o.requires_grad or o._parents for o in outputs)
+    assert all(t.grad is None for t in params.values())
+    # the same run with the tape on gives the same bits
+    outputs.clear()
+    monkeypatch.setattr(metrics, "frozen", lambda p: p)
+    taped = metrics.predict_pairs(pairs, tiny_dataset, params, cfg, batch_size=50)
+    assert all(o.requires_grad for o in outputs)
+    assert np.array_equal(taped, preds)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gedraft.encoder import encode_graphs
 from gedraft.ged import ged_exact
 from gedraft.graphs import check_extraction, generate_er
 from gedraft.model import ModelConfig, copy_params, init_params, params_equal
@@ -134,3 +135,27 @@ def test_resat_compare_diffatt_has_before_row(tiny_dataset):
 def test_resat_compare_rejects_empty():
     with pytest.raises(ValueError):
         resat_compare({}, None, [])
+
+
+def test_probe_embeddings_builds_no_tape(monkeypatch):
+    from gedraft import resat
+
+    triples, _ = build_resat_dataset(some_graphs(6), per_graph=3, seed=2)
+    params = init_params(CFG)
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(encode_graphs(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(resat, "encode_graphs", recorded)
+    emb = resat.probe_embeddings(params, CFG, triples)
+    assert outputs and not any(s.requires_grad or s._parents for s in outputs[0])
+    assert all(t.grad is None for t in params.values())
+    # the same run with the tape on gives the same bits
+    outputs.clear()
+    monkeypatch.setattr(resat, "frozen", lambda p: p)
+    taped = resat.probe_embeddings(params, CFG, triples)
+    assert all(s.requires_grad for s in outputs[0])
+    assert emb.keys() == taped.keys()
+    assert all(np.array_equal(emb[k], taped[k]) for k in emb)

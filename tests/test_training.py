@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gedraft.metrics import evaluate
-from gedraft.model import ModelConfig, init_params, params_equal
+from gedraft.model import ModelConfig, forward_pairs, init_params, params_equal
 from gedraft.training import TrainConfig, train, validation_steps
 
 CFG = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt", seed=0)
@@ -94,3 +94,26 @@ def test_evaluate_perfect_predictions_scores_one(tiny_dataset):
     assert report.rho == pytest.approx(1.0, abs=1e-12)
     assert report.tau == pytest.approx(1.0, abs=1e-12)
     assert report.p_at[3] == 1.0
+
+
+def test_validation_loss_builds_no_tape(tiny_dataset, monkeypatch):
+    from gedraft import training
+
+    graphs, sims = training._pair_views(tiny_dataset, "val")
+    params = init_params(CFG)
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(forward_pairs(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(training, "forward_pairs", recorded)
+    value = training.validation_loss(params, CFG, graphs, sims, batch_size=7)
+    assert len(outputs) > 1 and not any(o.requires_grad or o._parents for o in outputs)
+    assert all(t.grad is None for t in params.values())
+    # the same run with the tape on gives the same bits
+    outputs.clear()
+    monkeypatch.setattr(training, "frozen", lambda p: p)
+    taped = training.validation_loss(params, CFG, graphs, sims, batch_size=7)
+    assert all(o.requires_grad for o in outputs)
+    assert taped == value
