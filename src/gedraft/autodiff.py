@@ -118,9 +118,9 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         g = grads.pop(id(node))
         if not node._parents:
-            if node.grad is None:
-                node.grad = np.zeros(node.shape)
-            node.grad = node.grad + g
+            # g + 0.0 has the bits of zeros + g (-0.0 becomes +0.0) in one
+            # fresh array, so leaves that were handed the same g never share
+            node.grad = g + 0.0 if node.grad is None else node.grad + g
         for parent, fn in node._parents:
             contrib = fn(g)
             key = id(parent)

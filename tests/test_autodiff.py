@@ -35,6 +35,51 @@ def test_grad_accumulates_over_multiple_backwards():
     assert float(x.grad) == 8.0
 
 
+def test_leaves_given_the_same_upstream_grad_do_not_share_it():
+    p1 = Tensor(np.arange(3.0), requires_grad=True)
+    p2 = Tensor(np.ones(3), requires_grad=True)
+    backward(ad.reduce_sum(ad.tanh(ad.add(p1, p2))))
+    assert np.array_equal(p1.grad, p2.grad)
+    assert p1.grad is not p2.grad
+    p1.grad *= 2.0
+    assert not np.array_equal(p1.grad, p2.grad)
+
+
+def test_two_backwards_accumulate_to_zeros_plus_grads():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+
+    def loss():
+        return ad.reduce_sum(ad.tanh(ad.linear(x, w, b)))
+
+    firsts = []
+    for _ in range(2):
+        for t in (x, w, b):
+            t.zero_grad()
+        backward(loss())
+        firsts.append([t.grad.copy() for t in (x, w, b)])
+    for t in (x, w, b):
+        t.zero_grad()
+    backward(loss())
+    backward(loss())
+    for t, g1, g2 in zip((x, w, b), *firsts):
+        expected = (np.zeros(t.shape) + g1) + g2
+        assert t.grad.tobytes() == expected.tobytes()
+
+
+def test_leaf_grad_of_negative_zero_is_positive_zero():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    s = Tensor(np.array(0.0), requires_grad=True)
+    # d/dx of sum(x * -0.0) is -0.0 everywhere, as is d/ds of s * -0.0
+    backward(ad.add(ad.reduce_sum(ad.mul(x, Tensor(np.full(3, -0.0)))), ad.scalar_mul(s, -0.0)))
+    expected = np.zeros(3) + np.full(3, -0.0)
+    assert x.grad.tobytes() == expected.tobytes() == np.zeros(3).tobytes()
+    assert not np.signbit(x.grad).any()
+    assert not np.signbit(s.grad)
+
+
 def test_bias_broadcast_unbroadcasts_gradient():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)

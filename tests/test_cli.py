@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,61 @@ def test_ged_command(tmp_path, capsys):
     assert main(["ged", "--a", a, "--b", b]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["cost"] == 1
+
+
+# Runs the gedraft command in a fresh interpreter, then reports the BLAS
+# variables it left and the thread count OpenBLAS reports, if it can be found.
+BLAS_CHILD = """
+import ctypes, json, os, sys
+from gedraft.__main__ import BLAS_THREAD_VARS, main
+assert "numpy" not in sys.modules
+code = main(sys.argv[1:])
+threads = None
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+syms = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+        "openblas_get_num_threads")
+for lib in map(ctypes.CDLL, libs):
+    fns = [getattr(lib, sym) for sym in syms if hasattr(lib, sym)]
+    if fns and threads is None:
+        threads = fns[0]()
+env = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+print(json.dumps({"code": code, "env": env, "threads": threads}))
+"""
+
+
+def run_blas_child(tmp_path, **env_vars):
+    a = write_graph(tmp_path / "a.json", "a", [0, 1], [[0, 1]])
+    b = write_graph(tmp_path / "b.json", "b", [0, 2], [[0, 1]])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(env_vars)
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_CHILD, "ged", "--a", a, "--b", b],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_command_defaults_blas_to_one_thread(tmp_path):
+    doc = run_blas_child(tmp_path)
+    assert doc["code"] == EXIT_OK
+    assert doc["env"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"
+    }
+    assert doc["threads"] in (None, 1)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_command_keeps_the_users_blas_threads(tmp_path):
+    doc = run_blas_child(tmp_path, OMP_NUM_THREADS="2")
+    assert doc["code"] == EXIT_OK
+    assert doc["env"] == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None
+    }
+    if doc["threads"] is not None:
+        assert doc["threads"] == min(2, len(os.sched_getaffinity(0)))
 
 
 def test_ged_budget_exhausted_is_numeric_failure(tmp_path, capsys):
