@@ -72,7 +72,8 @@ def cmd_gen(args) -> int:
     write_dataset(ds, args.out)
     print(
         f"wrote {args.out}: {report.num_graphs} graphs, {report.num_pairs} pairs "
-        f"({report.dropped_budget} dropped over budget)"
+        f"({report.dropped_budget} dropped over budget), "
+        f"{report.expansions} search expansions"
     )
     return EXIT_OK
 

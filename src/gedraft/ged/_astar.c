@@ -14,6 +14,12 @@
  * tuples. Assignments are unique, so the order is total and the pop
  * sequence does not depend on how the heap is built.
  *
+ * Before the search, solve() orients the pair and renumbers one graph, as
+ * _astar_py.solve does: it searches from the graph with the smaller
+ * (node count, edge count), g1 on a tie, with that graph's nodes in
+ * connectivity-first order, and maps the best assignment back to the
+ * caller's g1 ids. search() itself only sees the renumbered "g1".
+ *
  * Node sets are 64-bit masks, so each graph has at most 64 nodes.
  */
 
@@ -301,12 +307,19 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
     return 0;
 }
 
-/* Copy one graph's labels and neighbour masks into lab and adj. */
+typedef struct {
+    int n, e; /* node and edge counts */
+    int lab[MAX_NODES];
+    mask_t adj[MAX_NODES];
+} Graph;
+
+/* Copy one graph's labels and neighbour masks into g, which holds n. */
 static int
-read_graph(const char *name, int n, PyObject *labels, PyObject *masks,
-           int na, int *lab, mask_t *adj)
+read_graph(const char *name, PyObject *labels, PyObject *masks, int na,
+           Graph *g)
 {
-    int ok = 0;
+    const int n = g->n;
+    int ok = 0, degrees = 0;
     PyObject *ls = PySequence_Fast(labels, "labels must be a sequence");
     PyObject *ms = ls ? PySequence_Fast(masks, "masks must be a sequence") : NULL;
     if (!ms)
@@ -326,16 +339,55 @@ read_graph(const char *name, int n, PyObject *labels, PyObject *masks,
                          na - 1);
             goto done;
         }
-        lab[i] = (int)l;
-        adj[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(ms, i));
-        if (adj[i] == (mask_t)-1 && PyErr_Occurred())
+        g->lab[i] = (int)l;
+        g->adj[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(ms, i));
+        if (g->adj[i] == (mask_t)-1 && PyErr_Occurred())
             goto done;
+        degrees += popcount(g->adj[i]);
     }
+    g->e = degrees / 2;
     ok = 1;
 done:
     Py_XDECREF(ls);
     Py_XDECREF(ms);
     return ok ? 0 : -1;
+}
+
+/* Renumber g's nodes in connectivity-first order into lab and adj: the
+   highest-degree node first, then each time the unplaced node with the most
+   edges into the placed ones, ties to the higher degree, then the lower id.
+   order[k] is the id in g of new node k. */
+static void
+connectivity_order(const Graph *g, int *lab, mask_t *adj, int *order)
+{
+    const int n = g->n;
+    int deg[MAX_NODES], pos[MAX_NODES];
+    mask_t placed = 0;
+    for (int i = 0; i < n; i++)
+        deg[i] = popcount(g->adj[i]);
+    for (int k = 0; k < n; k++) {
+        int best = -1, best_in = -1;
+        for (int i = 0; i < n; i++) {
+            if ((placed >> i) & 1)
+                continue;
+            const int in = popcount(g->adj[i] & placed);
+            if (in > best_in || (in == best_in && deg[i] > deg[best])) {
+                best = i;
+                best_in = in;
+            }
+        }
+        order[k] = best;
+        pos[best] = k;
+        placed |= (mask_t)1 << best;
+    }
+    for (int k = 0; k < n; k++) {
+        const mask_t nbrs = g->adj[order[k]];
+        lab[k] = g->lab[order[k]];
+        adj[k] = 0;
+        for (int j = 0; j < n; j++)
+            if ((nbrs >> j) & 1)
+                adj[k] |= (mask_t)1 << pos[j];
+    }
 }
 
 static PyObject *
@@ -361,13 +413,24 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
                      na);
         return NULL;
     }
-    Search s = {.n1 = n1, .n2 = n2, .na = na, .stride = n1 ? n1 : 1};
-    if (read_graph("g1", n1, labels1, adj1, na, s.l1, s.a1) < 0
-        || read_graph("g2", n2, labels2, adj2, na, s.l2, s.a2) < 0)
+    Graph g[2] = {{.n = n1}, {.n = n2}};
+    if (read_graph("g1", labels1, adj1, na, &g[0]) < 0
+        || read_graph("g2", labels2, adj2, na, &g[1]) < 0)
         return NULL;
 
+    /* Search from the graph with the smaller (nodes, edges), g1 on a tie:
+       unit-cost GED is symmetric, as a reversed edit path costs the same. */
+    const int swap = g[1].n < g[0].n || (g[1].n == g[0].n && g[1].e < g[0].e);
+    const Graph *from = &g[swap], *to = &g[!swap];
+    Search s = {.n1 = from->n, .n2 = to->n, .na = na,
+                .stride = from->n ? from->n : 1};
+    int order[MAX_NODES];
+    connectivity_order(from, s.l1, s.a1, order);
+    memcpy(s.l2, to->lab, sizeof s.l2);
+    memcpy(s.a2, to->adj, sizeof s.a2);
+
     size_t row = na ? na : 1;
-    s.suffix = calloc((n1 + 1) * row, sizeof(int));
+    s.suffix = calloc((s.n1 + 1) * row, sizeof(int));
     s.count2 = calloc(row, sizeof(int));
     s.used_lab = calloc(row, sizeof(int));
     int rc = -1, best_cost, optimal;
@@ -387,10 +450,22 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
         cost = Py_NewRef(Py_None);
         assignment = Py_NewRef(Py_None);
     } else {
+        /* best[k] is the image of from's node order[k]; write it in the
+           caller's g1 ids, with n2 for a deleted node */
+        unsigned char out[MAX_NODES];
+        if (!swap) {
+            for (int k = 0; k < s.n1; k++)
+                out[order[k]] = best[k];
+        } else {
+            memset(out, n2, n1);
+            for (int k = 0; k < s.n1; k++)
+                if (best[k] != s.n2)
+                    out[best[k]] = (unsigned char)order[k];
+        }
         cost = PyLong_FromLong(best_cost);
         assignment = PyTuple_New(n1);
         for (int i = 0; assignment && i < n1; i++) {
-            PyObject *v = PyLong_FromLong(best[i]);
+            PyObject *v = PyLong_FromLong(out[i]);
             if (!v)
                 Py_CLEAR(assignment);
             else

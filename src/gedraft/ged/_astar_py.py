@@ -1,8 +1,17 @@
 """Pure-Python best-first search kernel for exact unit-cost GED.
 
-States are partial assignments of g1's nodes, processed in id order; node i
-is either mapped to an unused g2 node or deleted (encoded as n2). Costs are
-charged so that every node edit and every edge edit is counted exactly once:
+``solve`` first orients the pair: it searches from the graph with the
+smaller (node count, edge count), g1 on a tie, since unit-cost GED is
+symmetric (see the docstring of gedraft.ged.core). It renumbers that graph's
+nodes in connectivity-first order (``connectivity_order``), so that each node
+is constrained by many already-processed neighbours, and maps the best
+assignment back to the caller's g1 ids. Expansions are those of the
+oriented, renumbered search.
+
+Below, g1 is the searched graph. States are partial assignments of its
+nodes, processed in the renumbered order; node i is either mapped to an
+unused g2 node or deleted (encoded as n2). Costs are charged so that every
+node edit and every edge edit is counted exactly once:
 
 * mapping/deleting node i charges its node edit plus all edge edits between
   i and already-processed g1 nodes, and all g2 edges between i's image and
@@ -29,14 +38,36 @@ def _popcount(x: int) -> int:
     return bin(x).count("1")
 
 
+def connectivity_order(adj):
+    """The search order of a graph's nodes, given its neighbour bitmasks.
+
+    The highest-degree node comes first; then, each time, the unplaced node
+    with the most edges into the placed ones, ties to the higher degree, then
+    the lower id.
+    """
+    n = len(adj)
+    deg = [_popcount(m) for m in adj]
+    order = []
+    placed = 0
+    for _ in range(n):
+        best = max(
+            (i for i in range(n) if not (placed >> i) & 1),
+            key=lambda i: (_popcount(adj[i] & placed), deg[i], -i),
+        )
+        order.append(best)
+        placed |= 1 << best
+    return order
+
+
 def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     """Search for a minimal assignment.
 
     adj1/adj2 are per-node neighbor bitmasks. Returns
     (cost, assignment, expansions, optimal) where assignment[i] in 0..n2
-    (n2 = deleted). When the expansion budget runs out before optimality is
-    proven, returns optimal=False with the best complete assignment found so
-    far and its cost, or None for both when none was found yet.
+    (n2 = deleted) is the image of g1's node i. When the expansion budget
+    runs out before optimality is proven, returns optimal=False with the best
+    complete assignment found so far and its cost, or None for both when none
+    was found yet.
 
     Raises ValueError for a graph with more than 64 nodes (the compiled
     kernel's bitmask limit) or a label outside 0..alphabet_size-1.
@@ -46,6 +77,38 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     for lab in (*labels1, *labels2):
         if not 0 <= lab < alphabet_size:
             raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")
+    e1 = sum(_popcount(m) for m in adj1) // 2
+    e2 = sum(_popcount(m) for m in adj2) // 2
+    swap = (n2, e2) < (n1, e1)
+    if swap:
+        n1, labels1, adj1, n2, labels2, adj2 = n2, labels2, adj2, n1, labels1, adj1
+    order = connectivity_order(adj1)
+    pos = {u: k for k, u in enumerate(order)}
+    adj1 = [
+        sum(1 << pos[w] for w in range(n1) if (adj1[u] >> w) & 1) for u in order
+    ]
+    labels1 = [labels1[u] for u in order]
+    cost, found, expansions, optimal = _search(
+        n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget
+    )
+    if found is None:
+        return cost, None, expansions, optimal
+    # found[k] is the image of node order[k] of the searched graph
+    assign = [None] * n1
+    for k, v in enumerate(found):
+        assign[order[k]] = v
+    if swap:
+        # invert: the caller's g1 is the searched g2
+        inverse = [n1] * n2
+        for u, v in enumerate(assign):
+            if v != n2:
+                inverse[v] = u
+        assign = inverse
+    return cost, tuple(assign), expansions, optimal
+
+
+def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
+    """The best-first search over assignments of g1's nodes in id order."""
     e2_total = sum(_popcount(m) for m in adj2) // 2
     if n1 == 0:
         # nothing to assign: insert all of g2

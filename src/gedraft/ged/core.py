@@ -14,6 +14,21 @@ Admissibility of the lower bound used here and inside the search:
 
 The two bounds charge disjoint operator kinds, so their sum is a lower
 bound on the true GED.
+
+Symmetry, which lets the kernels search from either graph:
+
+* Reversing an edit path from g1 to g2 gives one from g2 to g1 of the same
+  length under unit costs: deletions become insertions and back, and a
+  relabel becomes the relabel back. So ``GED(g1, g2) = GED(g2, g1)``.
+* In the kernels' terms, a node assignment (a partial injection of g1's
+  nodes into g2's) and its inverse charge the same operators: one relabel
+  per matched pair with different labels, one deletion or insertion per
+  unmatched node on either side, and one edge edit per edge of either graph
+  whose image is not an edge of the other.
+
+So each kernel searches from the graph with the smaller (node count, edge
+count) and inverts the optimal assignment when it swapped the two; the
+result is an optimal assignment in the caller's g1 ids either way.
 """
 
 from __future__ import annotations

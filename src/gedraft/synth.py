@@ -23,10 +23,19 @@ class GenReport:
     num_graphs: int
     num_pairs: int
     dropped_budget: int
+    expansions: int  # search expansions of the labeled and the dropped pairs
+
+
+# Expansions of the labeled pairs since build_dataset last reset it. perfbench
+# wraps _label_pair as (g1, g2, split, budget) -> PairRecord, so the count
+# cannot travel in its arguments or its result.
+_expansions = 0
 
 
 def _label_pair(g1: Graph, g2: Graph, split: str, budget: int):
+    global _expansions
     res = ged_exact(g1, g2, budget)
+    _expansions += res.expansions
     d = nged(res.cost, g1.n, g2.n)
     return PairRecord(g1.id, g2.id, res.cost, d, similarity(d), split)
 
@@ -99,13 +108,16 @@ def build_dataset(
         for other in corpus:
             wanted.append((gid, other, "test"))
 
+    global _expansions
+    _expansions = 0
     pairs = []
-    dropped = 0
+    dropped = dropped_expansions = 0
     for gi, gj, split in wanted:
         try:
             pairs.append(_label_pair(by_id[gi], by_id[gj], split, budget))
-        except GedBudgetExceeded:
+        except GedBudgetExceeded as exc:
             dropped += 1
+            dropped_expansions += exc.expansions
     alphabet = tuple(str(i) for i in range(alphabet_size))
     ds = Dataset(alphabet, graphs, pairs)
-    return ds, GenReport(n_graphs, len(pairs), dropped)
+    return ds, GenReport(n_graphs, len(pairs), dropped, _expansions + dropped_expansions)

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -20,12 +21,35 @@ import pytest  # noqa: E402
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "gedraft" / "ged" / "_astar.c"
 
 
+def _compiler():
+    return os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+
+
 def _compiler_missing():
     """Why the kernel cannot be compiled here, or None if a C compiler exists."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    cc = _compiler()
     if not shlex.split(cc) or shutil.which(shlex.split(cc)[0]) is None:
         return f"no C compiler ({cc!r}) to build the kernel with"
     return None
+
+
+def _strict_flags():
+    """``-Wall -Werror`` when the compiler is gcc or clang, else nothing.
+
+    The suite builds the kernel strictly so that a new warning fails it;
+    ``setup.py`` stays lenient, so a user's build still falls back to the
+    pure-Python kernel rather than failing on a compiler's new warning.
+    """
+    try:
+        version = subprocess.run(
+            [*shlex.split(_compiler()), "--version"], capture_output=True, text=True, timeout=30
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return []
+    # gcc run as ``cc`` names itself cc, but prints the FSF's copyright line
+    if "clang" in version or "gcc" in version or "Free Software Foundation" in version:
+        return ["-Wall", "-Werror"]
+    return []
 
 
 def _build_c_kernel():
@@ -43,7 +67,8 @@ def _build_c_kernel():
     out = Path(tempfile.mkdtemp(prefix="gedraft-kernel-"))
     atexit.register(shutil.rmtree, out, ignore_errors=True)
     name = "gedraft.ged._astar"
-    cmd = build_ext(Distribution({"ext_modules": [Extension(name, [str(KERNEL_SOURCE)])]}))
+    ext = Extension(name, [str(KERNEL_SOURCE)], extra_compile_args=_strict_flags())
+    cmd = build_ext(Distribution({"ext_modules": [ext]}))
     cmd.build_lib, cmd.build_temp = str(out), str(out / "tmp")
     try:
         cmd.ensure_finalized()

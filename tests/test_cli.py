@@ -53,6 +53,25 @@ def test_gen_output_is_valid_dataset(workspace):
     assert len(ds.graphs) == 24
 
 
+def test_gen_prints_search_expansions(tmp_path, capsys):
+    from gedraft.synth import build_dataset
+
+    out = tmp_path / "ds.json"
+    assert main(
+        [
+            "gen", "--n-graphs", "10", "--n-min", "5", "--n-max", "7", "--labels", "2",
+            "--p", "0.5", "--seed", "3", "--budget", "40", "--out", str(out),
+        ]
+    ) == EXIT_OK
+    _, report = build_dataset(
+        n_graphs=10, n_min=5, n_max=7, p=0.5, alphabet_size=2, seed=3, budget=40
+    )
+    assert report.dropped_budget > 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(f"({report.dropped_budget} dropped over budget), "
+                         f"{report.expansions} search expansions"), line
+
+
 def test_train_artifacts(workspace):
     params, cfg, _ = load_checkpoint(workspace["checkpoint"])
     assert cfg.hidden == 8 and cfg.fusion == "abs"

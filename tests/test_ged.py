@@ -155,8 +155,8 @@ def kernel_args(g1, g2, budget=5_000_000, alphabet_size=None):
 
 
 @st.composite
-def small_graphs(draw, max_n=6, alphabet=3):
-    n = draw(st.integers(1, max_n))
+def small_graphs(draw, max_n=6, alphabet=3, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pool if draw(st.booleans())]
@@ -200,6 +200,106 @@ def test_kernel_backends_agree_when_budget_runs_out(c_kernel):
                 assert result[2] == budget
                 exhausted_with_bound += result[0] is not None
     assert exhausted_with_bound > 0
+
+
+def is_swapped(g1, g2):
+    """Do the kernels search from g2? They start from the smaller (n, e)."""
+    return (g2.n, g2.num_edges) < (g1.n, g1.num_edges)
+
+
+def assert_assignment_in_g1_ids(g1, g2, assign):
+    assert len(assign) == g1.n
+    images = [v for v in assign if v != g2.n]
+    assert all(0 <= v < g2.n for v in images)
+    assert len(set(images)) == len(images), assign
+
+
+@st.composite
+def oriented_pairs(draw):
+    """Pairs of up to 8 nodes with n1 > n2, with n1 = n2 and e1 > e2, or with
+    n1 < n2: the first two are searched from g2, the last from g1."""
+    kind = draw(st.sampled_from(("n1>n2", "e1>e2", "n1<n2")))
+    if kind == "e1>e2":
+        n = draw(st.integers(2, 8))
+        a, b = draw(small_graphs(n, min_n=n)), draw(small_graphs(n, min_n=n))
+        if a.num_edges == b.num_edges:
+            # move one edge's worth of difference onto a
+            if b.edges:
+                b = G.Graph.make(b.id, b.labels, b.edges[1:])
+            else:
+                a = G.Graph.make(a.id, a.labels, [(0, 1)])
+        return (a, b) if a.num_edges > b.num_edges else (b, a)
+    small_n = draw(st.integers(1, 7))
+    small = draw(small_graphs(small_n, min_n=small_n))
+    large = draw(small_graphs(8, min_n=small_n + 1))
+    return (large, small) if kind == "n1>n2" else (small, large)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oriented_pairs())
+@example((G.Graph.make("a", [0, 1], [(0, 1)]), G.Graph.make("b", [1, 0], [])))
+@example((G.Graph.make("a", [0, 0, 1], [(0, 1), (1, 2)]), G.Graph.make("b", [2], [])))
+def test_search_from_either_side_returns_g1_ids(c_kernel, pair):
+    g1, g2 = pair
+    args = kernel_args(g1, g2)
+    result = c_kernel.solve(*args)
+    assert result == _astar_py.solve(*args)
+    cost, assign, expansions, optimal = result
+    assert optimal
+    assert_assignment_in_g1_ids(g1, g2, assign)
+    path, mapping = core._build_path(g1, g2, assign)
+    assert len(path) == cost
+    assert apply_edit_path(g1, g2, core.GedResult(cost, path, mapping, expansions)) == g2
+    if max(g1.n, g2.n) <= core.BRUTEFORCE_MAX_N:
+        assert cost == ged_bruteforce(g1, g2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oriented_pairs())
+def test_either_argument_order_runs_the_same_search(pair):
+    # the kernels search from the smaller (n, e) whichever argument it is
+    g1, g2 = pair
+    forward, backward = ged_exact(g1, g2), ged_exact(g2, g1)
+    assert forward.cost == backward.cost
+    assert forward.expansions == backward.expansions
+
+
+def test_connectivity_order(kernel):
+    # degrees 1, 3, 2, 3, 1: node 1 leads (degree 3, lower id than 3); 3 and
+    # then 2 have the most edges into the placed nodes; 0 and 4 tie on one
+    # edge and degree 1, so the lower id comes first
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
+    g = G.Graph.make("g", [0, 1, 2, 0, 1], edges)
+    assert _astar_py.connectivity_order(g.adjacency_masks()) == [1, 3, 2, 0, 4]
+    # both kernels search g from this order: a copy of g with its nodes
+    # renumbered that way runs the same search from the identity order
+    order = [1, 3, 2, 0, 4]
+    pos = {u: k for k, u in enumerate(order)}
+    h = G.Graph.make("h", [g.labels[u] for u in order],
+                     [(min(pos[u], pos[w]), max(pos[u], pos[w])) for u, w in edges])
+    assert _astar_py.connectivity_order(h.adjacency_masks()) == [0, 1, 2, 3, 4]
+    other = G.Graph.make("o", [1, 0, 2, 0, 1, 1], [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert kernel.solve(*kernel_args(g, other))[2] == kernel.solve(*kernel_args(h, other))[2]
+
+
+def test_partial_results_on_swapped_pairs_are_in_g1_ids(c_kernel):
+    swapped = with_bound = 0
+    for trial in range(30):
+        for g1, g2 in (rand_pair(trial, 5, 7), rand_pair(trial, 5, 7)[::-1]):
+            if not is_swapped(g1, g2):
+                continue
+            swapped += 1
+            for budget in (0, 1, 2, 5, 20):
+                args = kernel_args(g1, g2, budget=budget)
+                result = c_kernel.solve(*args)
+                assert result == _astar_py.solve(*args), (trial, budget)
+                cost, assign, _, optimal = result
+                if optimal or assign is None:
+                    continue
+                with_bound += 1
+                assert_assignment_in_g1_ids(g1, g2, assign)
+                assert len(core._build_path(g1, g2, assign)[0]) == cost
+    assert swapped > 10 and with_bound > 0
 
 
 @pytest.mark.parametrize(
@@ -320,6 +420,34 @@ def test_ged_exact_calls_the_kernel_once_per_call(monkeypatch):
     monkeypatch.setattr(synth, "ged_exact", counting_ged_exact)
     ds, report = synth.build_dataset(n_graphs=6, n_min=3, n_max=4, p=0.4, alphabet_size=2, seed=1)
     assert len(labeled) == len(calls) - 3 == report.num_pairs + report.dropped_budget
+
+
+def test_gen_report_counts_expansions_of_labeled_and_dropped_pairs(monkeypatch):
+    from gedraft import synth
+
+    seen = []
+
+    def recording_ged_exact(g1, g2, budget):
+        try:
+            res = ged_exact(g1, g2, budget)
+        except GedBudgetExceeded as exc:
+            seen.append(exc.expansions)
+            raise
+        seen.append(res.expansions)
+        return res
+
+    monkeypatch.setattr(synth, "ged_exact", recording_ged_exact)
+    ds, report = synth.build_dataset(
+        n_graphs=10, n_min=5, n_max=7, p=0.5, alphabet_size=2, seed=3, budget=40
+    )
+    assert report.dropped_budget > 0 and report.num_pairs > 0
+    assert len(seen) == report.num_pairs + report.dropped_budget
+    assert report.expansions == sum(seen)
+    monkeypatch.undo()
+    _, again = synth.build_dataset(
+        n_graphs=10, n_min=5, n_max=7, p=0.5, alphabet_size=2, seed=3, budget=40
+    )
+    assert again == report
 
 
 def reference_build_path(g1, g2, assign):
