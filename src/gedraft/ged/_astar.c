@@ -313,7 +313,17 @@ typedef struct {
     mask_t adj[MAX_NODES];
 } Graph;
 
-/* Copy one graph's labels and neighbour masks into g, which holds n. */
+static void
+bad_mask(const char *name, int i, int n)
+{
+    PyErr_Clear();
+    PyErr_Format(PyExc_ValueError,
+                 "%s: neighbour mask of node %d is not a set of other nodes "
+                 "in 0..%d", name, i, n - 1);
+}
+
+/* Copy one graph's labels and neighbour masks into g, which holds n, and
+   check that they are those of a simple undirected graph. */
 static int
 read_graph(const char *name, PyObject *labels, PyObject *masks, int na,
            Graph *g)
@@ -341,10 +351,29 @@ read_graph(const char *name, PyObject *labels, PyObject *masks, int na,
         }
         g->lab[i] = (int)l;
         g->adj[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(ms, i));
-        if (g->adj[i] == (mask_t)-1 && PyErr_Occurred())
+        if (g->adj[i] == (mask_t)-1 && PyErr_Occurred()) {
+            /* negative, or a bit beyond 63 */
+            if (PyErr_ExceptionMatches(PyExc_OverflowError))
+                bad_mask(name, i, n);
             goto done;
+        }
+        /* a set of other nodes in 0..n-1 */
+        if ((n < MAX_NODES && g->adj[i] >> n) || ((g->adj[i] >> i) & 1)) {
+            bad_mask(name, i, n);
+            goto done;
+        }
         degrees += popcount(g->adj[i]);
     }
+    /* every edge listed at both ends */
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            if (((g->adj[i] >> j) & 1) && !((g->adj[j] >> i) & 1)) {
+                PyErr_Format(PyExc_ValueError,
+                             "%s: neighbour masks are not symmetric: node %d "
+                             "lists %d, but %d does not list %d",
+                             name, i, j, j, i);
+                goto done;
+            }
     g->e = degrees / 2;
     ok = 1;
 done:
@@ -485,8 +514,9 @@ static PyMethodDef methods[] = {
     {"solve", (PyCFunction)(void (*)(void))solve, METH_VARARGS | METH_KEYWORDS,
      "solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget)\n--\n\n"
      "Exact unit-cost GED search; see gedraft.ged._astar_py.solve.\n"
-     "Raises ValueError for more than 64 nodes per graph or a label\n"
-     "outside 0..alphabet_size-1."},
+     "Raises ValueError for more than 64 nodes per graph, a label\n"
+     "outside 0..alphabet_size-1, or neighbour masks that are not those\n"
+     "of a simple undirected graph."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -59,6 +59,25 @@ def connectivity_order(adj):
     return order
 
 
+def _check_graph(name, n, labels, adj):
+    """ValueError unless there are n labels and n neighbour masks, each a
+    set of other nodes in 0..n-1, and every edge is listed at both ends."""
+    if len(labels) != n or len(adj) != n:
+        raise ValueError(f"{name}: expected {n} labels and neighbour masks")
+    for i, m in enumerate(adj):
+        if m < 0 or m >> n or (m >> i) & 1:
+            raise ValueError(
+                f"{name}: neighbour mask of node {i} is not a set of other nodes in 0..{n - 1}"
+            )
+    for i, m in enumerate(adj):
+        for j in range(n):
+            if (m >> j) & 1 and not (adj[j] >> i) & 1:
+                raise ValueError(
+                    f"{name}: neighbour masks are not symmetric: node {i} lists {j}, "
+                    f"but {j} does not list {i}"
+                )
+
+
 def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     """Search for a minimal assignment.
 
@@ -70,13 +89,16 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     was found yet.
 
     Raises ValueError for a graph with more than 64 nodes (the compiled
-    kernel's bitmask limit) or a label outside 0..alphabet_size-1.
+    kernel's bitmask limit), a label outside 0..alphabet_size-1, or
+    neighbour masks that are not those of a simple undirected graph.
     """
     if n1 > 64 or n2 > 64:
         raise ValueError(f"graphs must have at most 64 nodes, got {n1} and {n2}")
     for lab in (*labels1, *labels2):
         if not 0 <= lab < alphabet_size:
             raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")
+    _check_graph("g1", n1, labels1, adj1)
+    _check_graph("g2", n2, labels2, adj2)
     e1 = sum(_popcount(m) for m in adj1) // 2
     e2 = sum(_popcount(m) for m in adj2) // 2
     swap = (n2, e2) < (n1, e1)

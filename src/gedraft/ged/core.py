@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 from ..graphs import Graph, require_valid
@@ -70,10 +71,35 @@ class EditOp:
 
 @dataclass(frozen=True)
 class GedResult:
+    """An optimal edit path from g1 to g2, held as the search's node
+    assignment: ``assignment[u]`` is g1 node u's image in g2, or ``g2.n`` if
+    u is deleted.
+
+    ``path`` and ``mapping`` are built from the assignment the first time
+    either is read, and kept; labeling reads only the cost.
+    """
+
     cost: int
-    path: tuple[EditOp, ...]
-    mapping: tuple[tuple[int, int], ...]  # matched (g1 node, g2 node) pairs
+    assignment: tuple[int, ...]
     expansions: int
+    g1: Graph = field(repr=False)
+    g2: Graph = field(repr=False)
+
+    @cached_property
+    def _edit_path(self):
+        path, mapping = _build_path(self.g1, self.g2, self.assignment)
+        if len(path) != self.cost:
+            raise AssertionError("path length disagrees with search cost")
+        return path, mapping
+
+    @property
+    def path(self) -> tuple[EditOp, ...]:
+        return self._edit_path[0]
+
+    @property
+    def mapping(self) -> tuple[tuple[int, int], ...]:
+        """The matched (g1 node, g2 node) pairs."""
+        return self._edit_path[1]
 
     def to_json(self):
         return {
@@ -101,7 +127,12 @@ def _alphabet_size(g1: Graph, g2: Graph) -> int:
 
 
 def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
-    """Minimal-cost edit path from g1 to (a graph equal up to ids to) g2."""
+    """Minimal-cost edit path from g1 to (a graph equal up to ids to) g2.
+
+    The kernel's cost is checked against the edits its assignment implies;
+    the path itself is built only when the result's ``path`` or ``mapping``
+    is read.
+    """
     require_valid(g1)
     require_valid(g2)
     labels1, labels2 = g1.labels, g2.labels
@@ -119,9 +150,28 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
     )
     if not optimal:
         raise GedBudgetExceeded(cost, expansions)
-    path, mapping = _build_path(g1, g2, assign)
-    assert len(path) == cost, "path length disagrees with search cost"
-    return GedResult(cost, path, mapping, expansions)
+    if _edit_count(g1, g2, assign) != cost:
+        raise AssertionError("edit count of the assignment disagrees with search cost")
+    return GedResult(cost, assign, expansions, g1, g2)
+
+
+def _edit_count(g1: Graph, g2: Graph, assign) -> int:
+    """The length of ``_build_path(g1, g2, assign)`` for an injective
+    ``assign``, counted without building the path."""
+    n2 = len(g2.labels)
+    # a deleted node's image n2 has no neighbours and a label no node has;
+    # valid masks set no bit at or above n2
+    adj2 = g2.masks + (0,)
+    labels2 = g2.labels + (-1,)
+    kept = 0
+    for u, w in g1.edges:
+        kept += adj2[assign[u]] >> assign[w] & 1
+    unmatched = 0  # relabeled and deleted nodes
+    for lab, v in zip(g1.labels, assign):
+        if lab != labels2[v]:
+            unmatched += 1
+    inserted = n2 - len(g1.labels) + assign.count(n2)
+    return len(g1.edges) - kept + len(g2.edges) - kept + unmatched + inserted
 
 
 def _build_path(g1: Graph, g2: Graph, assign):

@@ -204,9 +204,10 @@ def save_checkpoint(params: dict, cfg: ModelConfig, path, optimizer_state=None) 
             "m": {k: _array_json(v) for k, v in sorted(optimizer_state["m"].items())},
             "v": {k: _array_json(v) for k, v in sorted(optimizer_state["v"].items())},
         }
+    # dumps runs json's C encoder; dump streams through the pure-Python one
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path):

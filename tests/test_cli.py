@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,23 @@ def test_gen_prints_search_expansions(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.endswith(f"({report.dropped_budget} dropped over budget), "
                          f"{report.expansions} search expansions"), line
+
+
+# sha256 of the file below as json.dump(..., indent=1) wrote it: 24 graphs of
+# 1 to 5 nodes, 12 of them without edges, and 153 pairs, some with integral
+# nged and sim
+GEN_PIN = "fc21d1a60932359e0e006c7eebb510fabf74e36ac43afcf76c2c830bfdbb8948"
+
+
+def test_gen_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "ds.json"
+    assert main(
+        [
+            "gen", "--n-graphs", "24", "--n-min", "1", "--n-max", "5", "--labels", "3",
+            "--p", "0.3", "--seed", "11", "--pairs-per-graph", "4", "--out", str(out),
+        ]
+    ) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_PIN
 
 
 def test_train_artifacts(workspace):

@@ -1,6 +1,8 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gedraft.dataset import (
@@ -86,6 +88,45 @@ def test_write_refuses_invalid(small_ds, tmp_path):
     bad = Dataset(small_ds.alphabet, small_ds.graphs, [PairRecord("a", "b", 2, 0.8, 0.5, "train")])
     with pytest.raises(DatasetFormatError):
         write_dataset(bad, tmp_path / "bad.json")
+
+
+def _with_pair(ds, **fields):
+    return Dataset(ds.alphabet, ds.graphs, [replace(ds.pairs[0], **fields), *ds.pairs[1:]])
+
+
+def _with_graph(ds, labels=None, edges=None):
+    b = ds.graphs[1]
+    g = Graph("b", b.labels if labels is None else labels, b.edges if edges is None else edges)
+    return Dataset(ds.alphabet, [ds.graphs[0], g, ds.graphs[2]], ds.pairs)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # without the type checks, each of these was written as a file that
+        # read_dataset refuses, left a truncated file when json.dump stopped
+        # halfway, or made validate raise TypeError
+        (lambda ds: _with_pair(ds, ged=True, nged=1 / 2.5, sim=math.exp(-1 / 2.5)),
+         "pair 0: ged True is not an integer"),
+        (lambda ds: _with_pair(ds, ged=np.int64(2)), "pair 0: ged .*2.* is not an integer"),
+        (lambda ds: _with_pair(ds, ged=2.0), "pair 0: ged 2.0 is not an integer"),
+        (lambda ds: _with_pair(ds, i=["a"]), r"pair 0: graph ids \['a'\], 'b' must be strings"),
+        (lambda ds: _with_pair(ds, nged="0.8"), "pair 0: nged and sim must be numbers"),
+        (lambda ds: _with_pair(ds, sim=None), "pair 0: nged and sim must be numbers"),
+        (lambda ds: Dataset((0, 1, 2), ds.graphs, ds.pairs), "alphabet must be a list of strings"),
+        (lambda ds: _with_graph(ds, labels=(0, True, 2)), "graph 'b': labels must be integers"),
+        (lambda ds: _with_graph(ds, edges=((0, 1), (1, 2.0))), "graph 'b': edge endpoints"),
+        (lambda ds: _with_graph(ds, edges=((0, 1), (np.int64(1), 2))), "graph 'b': edge endpoints"),
+        (lambda ds: Dataset(ds.alphabet, [*ds.graphs, Graph(2, (0,), ())], ds.pairs),
+         "graph id 2 is not a string"),
+    ],
+)
+def test_write_refuses_what_read_refuses_before_opening_the_file(small_ds, tmp_path, edit, message):
+    bad = edit(small_ds)
+    path = tmp_path / "bad.json"
+    with pytest.raises(DatasetFormatError, match=message):
+        write_dataset(bad, path)
+    assert not path.exists()
 
 
 def test_unknown_version_rejected(small_ds):

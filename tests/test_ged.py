@@ -249,7 +249,7 @@ def test_search_from_either_side_returns_g1_ids(c_kernel, pair):
     assert_assignment_in_g1_ids(g1, g2, assign)
     path, mapping = core._build_path(g1, g2, assign)
     assert len(path) == cost
-    assert apply_edit_path(g1, g2, core.GedResult(cost, path, mapping, expansions)) == g2
+    assert apply_edit_path(g1, g2, core.GedResult(cost, assign, expansions, g1, g2)) == g2
     if max(g1.n, g2.n) <= core.BRUTEFORCE_MAX_N:
         assert cost == ged_bruteforce(g1, g2)
 
@@ -313,6 +313,24 @@ def test_kernel_rejects_labels_outside_alphabet(kernel, labels1, labels2, alphab
         kernel.solve(*args)
 
 
+@pytest.mark.parametrize(
+    "adj1, adj2, message",
+    [
+        ([2, 0], [2, 1], "not symmetric"),  # a one-way edge in g1
+        ([2, 1], [0, 0, 2], "not symmetric"),  # and in g2
+        ([6, 1], [2, 1], "0..1"),  # bit 2 set on a 2-node graph
+        ([2, 1], [2, 1 | 1 << 63], "0..1"),
+        ([3, 1], [2, 1], "0..1"),  # a self-loop
+        ([-1, 1], [2, 1], "0..1"),
+        ([2, 1], [2**64, 1], "0..1"),
+    ],
+)
+def test_kernel_rejects_malformed_neighbour_masks(kernel, adj1, adj2, message):
+    args = (2, [0, 1], adj1, len(adj2), [0] * len(adj2), adj2, 2, 100)
+    with pytest.raises(ValueError, match=f"neighbour mask.*{message}"):
+        kernel.solve(*args)
+
+
 def test_kernel_rejects_more_than_64_nodes(kernel):
     big = G.generate_er(65, 0.05, 2, seed=3, gid="big")
     small = G.generate_er(3, 0.5, 2, seed=4, gid="small")
@@ -342,6 +360,44 @@ def test_result_json_shape():
     doc = ged_exact(g1, g2).to_json()
     assert set(doc) == {"cost", "path", "mapping"}
     assert all(set(op) == {"kind", "operands"} for op in doc["path"])
+
+
+def test_result_builds_the_path_of_its_assignment_once_when_read(monkeypatch):
+    built = []
+
+    def counting_build_path(*args):
+        built.append(args)
+        return real_build_path(*args)
+
+    real_build_path = core._build_path
+    monkeypatch.setattr(core, "_build_path", counting_build_path)
+    for trial in range(40):
+        g1, g2 = rand_pair(trial)
+        res = ged_exact(g1, g2)
+        assert not built  # labeling reads only the cost
+        path, mapping = real_build_path(g1, g2, res.assignment)
+        assert res.path == path and res.mapping == mapping
+        assert res.to_json() == {
+            "cost": res.cost,
+            "path": [op.to_json() for op in path],
+            "mapping": [list(p) for p in mapping],
+        }
+        assert res.path is res.path and len(built) == 1
+        built.clear()
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_ged_exact_refuses_a_cost_its_assignment_does_not_have(monkeypatch, error):
+    real = core._kernel
+
+    def solve(*args):
+        cost, assign, expansions, optimal = real.solve(*args)
+        return cost + error, assign, expansions, optimal
+
+    monkeypatch.setattr(core, "_kernel", type("Off", (), {"solve": staticmethod(solve)}))
+    for trial in range(5):
+        with pytest.raises(AssertionError, match="edit count"):
+            ged_exact(*rand_pair(trial))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -487,4 +543,6 @@ def test_build_path_matches_reference(g1, g2, rnd):
         targets.pop() if targets and rnd.random() < 0.7 else g2.n for _ in range(g1.n)
     )
     for assign in (optimal, arbitrary):
-        assert core._build_path(g1, g2, assign) == reference_build_path(g1, g2, assign)
+        path, mapping = core._build_path(g1, g2, assign)
+        assert (path, mapping) == reference_build_path(g1, g2, assign)
+        assert core._edit_count(g1, g2, assign) == len(path)

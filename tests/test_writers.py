@@ -1,15 +1,27 @@
 """The dataset and checkpoint writers write what they wrote when every float
 went through ``json.loads(format(x, ".17g"))`` before ``json.dump``."""
 
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gedraft.dataset import Dataset, DatasetFormatError, PairRecord, json_float, write_dataset
+from gedraft.dataset import (
+    SPLITS,
+    Dataset,
+    DatasetFormatError,
+    PairRecord,
+    dataset_text,
+    json_float,
+    write_dataset,
+)
+from gedraft.graphs import Graph
 from gedraft.model import ModelConfig, init_params, save_checkpoint
 from gedraft.optim import Adam
 from gedraft.training import TrainConfig, train
@@ -67,8 +79,8 @@ def test_non_finite_values_are_refused_on_write(bad, tiny_dataset, tmp_path):
         save_checkpoint(params, cfg, tmp_path / "m.json")
 
 
-def reference_dataset_bytes(ds, path):
-    doc = {
+def reference_dataset_doc(ds):
+    return {
         "version": "1",
         "alphabet": list(ds.alphabet),
         "graphs": [
@@ -81,8 +93,11 @@ def reference_dataset_bytes(ds, path):
             for p in ds.pairs
         ],
     }
+
+
+def reference_dataset_bytes(ds, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(reference_dataset_doc(ds), fh, indent=1)
         fh.write("\n")
     return path.read_bytes()
 
@@ -114,6 +129,92 @@ def test_dataset_bytes_unchanged(tiny_dataset, tmp_path):
     assert (tmp_path / "new.json").read_bytes() == reference_dataset_bytes(
         tiny_dataset, tmp_path / "old.json"
     )
+
+
+# strings with what JSON escapes: quotes, backslashes, control characters,
+# DEL, non-ASCII, a line separator, an astral character and a lone surrogate
+NASTY = st.text(
+    st.sampled_from('a0"\\/\x00\x1f\x7f\t\n\u00e9\u2028\U0001f600\ud800') | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def graph_records(draw, ids, alphabet_size):
+    """Graphs with the given ids; some have no edges."""
+    graphs = []
+    for gid in ids:
+        n = draw(st.integers(1, 4))
+        labels = draw(st.lists(st.integers(0, alphabet_size - 1), min_size=n, max_size=n))
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+        graphs.append(Graph.make(gid, labels, edges))
+    return graphs
+
+
+# labels of a pair with ged 0: within the validation's 1e-12 of 0 and of 1
+ZERO_NGED = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-13]
+ONE_SIM = [1.0, 0.9999999999999999, 1.0000000000000002, 1 - 1e-13]
+
+
+@st.composite
+def valid_datasets(draw):
+    alphabet = draw(st.lists(NASTY, min_size=1, max_size=4))
+    ids = draw(st.lists(NASTY, max_size=5, unique=True))
+    graphs = draw(graph_records(ids, len(alphabet)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8)) if graphs else 0):
+        gi, gj = draw(st.sampled_from(graphs)), draw(st.sampled_from(graphs))
+        ged = draw(st.integers(0, gi.n + gi.num_edges + gj.n + gj.num_edges))
+        if ged == 0 and draw(st.booleans()):
+            nged, sim = draw(st.sampled_from(ZERO_NGED)), draw(st.sampled_from(ONE_SIM))
+        else:
+            nged = ged / ((gi.n + gj.n) / 2)
+            sim = math.exp(-nged)
+        if draw(st.booleans()):
+            nged, sim = np.float64(nged), np.float64(sim)
+        pairs.append(PairRecord(gi.id, gj.id, ged, nged, sim, draw(st.sampled_from(SPLITS))))
+    return Dataset(tuple(alphabet), graphs, pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(valid_datasets())
+@example(Dataset((), [], []))
+@example(Dataset(("0",), [Graph.make("a", [0], [])], []))
+def test_dataset_bytes_equal_json_dump_on_random_datasets(ds):
+    assert not ds.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.json", Path(tmp) / "old.json"
+        write_dataset(ds, new)
+        assert new.read_bytes() == reference_dataset_bytes(ds, old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    valid_datasets(),
+    st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False),
+             min_size=2, max_size=16),
+    st.lists(st.integers(0, 10**30), min_size=1, max_size=8),
+)
+@example(  # every special value as nged and, negated, as sim
+    Dataset(
+        ("0",), [Graph.make("a", [0], [])], [PairRecord("a", "a", 0, 0, 1, "test")] * len(SPECIAL)
+    ),
+    SPECIAL,
+    [0],
+)
+def test_dataset_text_equals_json_dump_on_any_numbers(ds, floats, geds):
+    # labels that validation would refuse, so that every float the writer
+    # may meet is covered: the template itself does not depend on them
+    pairs = [
+        PairRecord(p.i, p.j, geds[k % len(geds)], floats[k % len(floats)],
+                   -floats[(k + 1) % len(floats)], p.split)
+        for k, p in enumerate(ds.pairs)
+    ]
+    ds = Dataset(ds.alphabet, ds.graphs, pairs)
+    want = io.StringIO()
+    json.dump(reference_dataset_doc(ds), want, indent=1)
+    assert dataset_text(ds) == want.getvalue() + "\n"
 
 
 def test_checkpoint_bytes_unchanged(tiny_dataset, tmp_path):
