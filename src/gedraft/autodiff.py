@@ -119,8 +119,12 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node))
         if not node._parents:
             # g + 0.0 has the bits of zeros + g (-0.0 becomes +0.0) in one
-            # fresh array, so leaves that were handed the same g never share
-            node.grad = g + 0.0 if node.grad is None else node.grad + g
+            # fresh array, so leaves that were handed the same g never share;
+            # C order, which the compiled Adam step requires, whatever g's is
+            if node.grad is None:
+                node.grad = np.add(g, 0.0, order="C")
+            else:
+                node.grad = np.add(node.grad, g, order="C")
         for parent, fn in node._parents:
             contrib = fn(g)
             key = id(parent)

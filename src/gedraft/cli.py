@@ -26,7 +26,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .optim import grad_check
+from .optim import BACKEND as ADAM_BACKEND, grad_check
 from .resat import build_resat_dataset, resat_compare
 from .synth import build_dataset
 from .training import TrainConfig, train
@@ -130,6 +130,7 @@ def cmd_train(args) -> int:
             "val_loss": history["val_loss"],
             "best_step": history["best_step"],
         },
+        "backends": {"ged": BACKEND, "adam": ADAM_BACKEND},
     }
     if args.history:
         _write_json(args.history, report)
@@ -311,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--history", help="write the loss history report here")
+    t.add_argument(
+        "--history", help="write the loss history report, with the GED and Adam backends, here"
+    )
     t.add_argument("--config", help="config file (sections [model]/[train])")
     t.add_argument("--hidden", type=int)
     t.add_argument("--layers", type=int)

@@ -120,11 +120,16 @@ def validate(g: Graph) -> list[str]:
     n = g.n
     if n < 1:
         violations.append("graph must have at least one node")
+    # exactly int: a bool would be searched as 0 or 1, and other types fail
+    # the comparisons below with TypeError
     for i, lab in enumerate(g.labels):
-        if not isinstance(lab, int) or lab < 0:
+        if type(lab) is not int or lab < 0:
             violations.append(f"label {lab!r} of node {i} is not a non-negative integer")
     seen = set()
     for u, v in g.edges:
+        if type(u) is not int or type(v) is not int:
+            violations.append(f"edge ({u!r},{v!r}) endpoints are not both integers")
+            continue
         if u == v:
             violations.append(f"self-loop at node {u}")
             continue

@@ -192,22 +192,40 @@ def _check_shapes(arrays: dict, shapes: dict, what: str) -> None:
             )
 
 
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj, sort_keys=True)`` in pieces, each array
+    (``_array_json``) and each other leaf through json's C encoder."""
+    if isinstance(obj, dict):
+        yield "{"
+        for k, key in enumerate(sorted(obj)):
+            yield (", " if k else "") + json.dumps(key) + ": "
+            yield from _json_pieces(obj[key])
+        yield "}"
+    elif isinstance(obj, np.ndarray):
+        yield json.dumps(_array_json(obj), sort_keys=True)
+    else:
+        yield json.dumps(obj, sort_keys=True)
+
+
 def save_checkpoint(params: dict, cfg: ModelConfig, path, optimizer_state=None) -> None:
+    """Write ``json.dumps(doc, sort_keys=True) + "\n"`` of the checkpoint's
+    document one array at a time, so that no more than one array's text is
+    held at once. ValueError for a non-finite value, before the file is
+    opened."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": cfg.to_json(),
-        "params": {name: _array_json(t.values) for name, t in sorted(params.items())},
+        "params": {name: t.values for name, t in params.items()},
     }
+    arrays = list(doc["params"].values())
     if optimizer_state is not None:
-        doc["optimizer"] = {
-            "step": optimizer_state["step"],
-            "m": {k: _array_json(v) for k, v in sorted(optimizer_state["m"].items())},
-            "v": {k: _array_json(v) for k, v in sorted(optimizer_state["v"].items())},
-        }
-    # dumps runs json's C encoder; dump streams through the pure-Python one
-    text = json.dumps(doc, sort_keys=True)
+        doc["optimizer"] = {key: optimizer_state[key] for key in ("step", "m", "v")}
+        arrays += [*optimizer_state["m"].values(), *optimizer_state["v"].values()]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("cannot write a non-finite value: JSON has no non-finite numbers")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.writelines(_json_pieces(doc))
+        fh.write("\n")
 
 
 def load_checkpoint(path):

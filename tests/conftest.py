@@ -18,7 +18,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402
 
-KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "gedraft" / "ged" / "_astar.c"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _extensions():
+    """``setup.py``'s list of (module, source, extra compile flags)."""
+    spec = importlib.util.spec_from_file_location("gedraft_setup", ROOT / "setup.py")
+    setup_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_py)  # runs setup() only as __main__
+    return setup_py.EXTENSIONS
 
 
 def _compiler():
@@ -26,19 +34,19 @@ def _compiler():
 
 
 def _compiler_missing():
-    """Why the kernel cannot be compiled here, or None if a C compiler exists."""
+    """Why the kernels cannot be compiled here, or None if a C compiler exists."""
     cc = _compiler()
     if not shlex.split(cc) or shutil.which(shlex.split(cc)[0]) is None:
-        return f"no C compiler ({cc!r}) to build the kernel with"
+        return f"no C compiler ({cc!r}) to build the kernels with"
     return None
 
 
 def _strict_flags():
     """``-Wall -Werror`` when the compiler is gcc or clang, else nothing.
 
-    The suite builds the kernel strictly so that a new warning fails it;
-    ``setup.py`` stays lenient, so a user's build still falls back to the
-    pure-Python kernel rather than failing on a compiler's new warning.
+    The suite builds the kernels strictly so that a new warning fails it;
+    ``setup.py`` stays lenient, so a user's build still falls back to pure
+    Python and NumPy rather than failing on a compiler's new warning.
     """
     try:
         version = subprocess.run(
@@ -52,11 +60,12 @@ def _strict_flags():
     return []
 
 
-def _build_c_kernel():
-    """Compile ``_astar.c`` into a temporary directory and load it.
+def _build_c_kernels():
+    """Compile every extension of ``setup.py``, with its flags and the strict
+    ones, into a temporary directory and load them.
 
-    Returns the module, a string if there is no compiler, or the exception
-    the build raised.
+    Returns a dict of the modules by name, a string if there is no
+    compiler, or the exception the build raised.
     """
     missing = _compiler_missing()
     if missing:
@@ -66,41 +75,56 @@ def _build_c_kernel():
 
     out = Path(tempfile.mkdtemp(prefix="gedraft-kernel-"))
     atexit.register(shutil.rmtree, out, ignore_errors=True)
-    name = "gedraft.ged._astar"
-    ext = Extension(name, [str(KERNEL_SOURCE)], extra_compile_args=_strict_flags())
-    cmd = build_ext(Distribution({"ext_modules": [ext]}))
+    strict = _strict_flags()
+    exts = [
+        Extension(name, [str(ROOT / source)], extra_compile_args=flags + strict)
+        for name, source, flags in _extensions()
+    ]
+    cmd = build_ext(Distribution({"ext_modules": exts}))
     cmd.build_lib, cmd.build_temp = str(out), str(out / "tmp")
     try:
         cmd.ensure_finalized()
         cmd.run()
-    except Exception as exc:  # reported by the tests that need the kernel
+    except Exception as exc:  # reported by the tests that need the kernels
         return exc
-    spec = importlib.util.spec_from_file_location(name, cmd.get_ext_fullpath(name))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    modules = {}
+    for ext in exts:
+        spec = importlib.util.spec_from_file_location(ext.name, cmd.get_ext_fullpath(ext.name))
+        modules[ext.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[ext.name])
+    return modules
 
 
-# Build the compiled kernel from the current source before anything imports
-# gedraft, so the whole suite runs on it (labeling the acceptance datasets on
-# the pure-Python kernel is about 30x slower) and the cross-checks in
-# test_ged.py test this source. Registering the module under its package
-# name makes ``gedraft.ged`` pick it up at import.
-C_KERNEL = _build_c_kernel()
-if not isinstance(C_KERNEL, (str, Exception)):
-    sys.modules["gedraft.ged._astar"] = C_KERNEL
+# Build the compiled kernels from the current source before anything imports
+# gedraft, so the whole suite runs on them (labeling the acceptance datasets
+# on the pure-Python GED kernel is about 30x slower) and the cross-checks in
+# test_ged.py and test_optim.py test this source. Registering each module
+# under its package name makes gedraft pick it up at import.
+C_KERNELS = _build_c_kernels()
+if isinstance(C_KERNELS, dict):
+    sys.modules.update(C_KERNELS)
 
 from gedraft.synth import build_dataset  # noqa: E402
 
 
+def _c_module(name):
+    if isinstance(C_KERNELS, str):
+        pytest.skip(C_KERNELS)
+    if isinstance(C_KERNELS, Exception):
+        pytest.fail(f"building the kernels failed: {C_KERNELS!r}")
+    return C_KERNELS[name]
+
+
 @pytest.fixture(scope="session")
 def c_kernel():
-    """The compiled kernel, built from the source tree with setuptools."""
-    if isinstance(C_KERNEL, str):
-        pytest.skip(C_KERNEL)
-    if isinstance(C_KERNEL, Exception):
-        pytest.fail(f"building the kernel failed: {C_KERNEL!r}")
-    return C_KERNEL
+    """The compiled GED kernel, built from the source tree with setuptools."""
+    return _c_module("gedraft.ged._astar")
+
+
+@pytest.fixture(scope="session")
+def c_adam():
+    """The compiled Adam step's module, built from the source tree."""
+    return _c_module("gedraft._adam")
 
 
 @pytest.fixture(scope="session")

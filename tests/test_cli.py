@@ -97,6 +97,8 @@ def test_train_artifacts(workspace):
     assert report["resolved_config"]["model"]["readout"] == "mean"
     assert report["resolved_config"]["train"]["epochs"] == 2
     assert report["history"]["train_loss"]
+    # the suite runs on the compiled kernels that conftest.py builds
+    assert report["backends"] == {"ged": "c", "adam": "c"}
 
 
 def test_config_file_with_flag_override(workspace, tmp_path):

@@ -349,6 +349,26 @@ def test_ged_exact_rejects_bad_input_on_both_kernels(kernel, monkeypatch):
     assert ged_exact(ok, ok).cost == 0
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (G.Graph("x", (0, 1), (("a", 1),)), "not both integers"),
+        (G.Graph("x", (0, 1), ((0, True),)), "not both integers"),
+        (G.Graph("y", (0, True), ((0, 1),)), "non-negative integer"),
+        (G.Graph("y", (False,), ()), "non-negative integer"),
+    ],
+)
+def test_ged_exact_rejects_bool_and_non_int_labels_and_endpoints(kernel, monkeypatch, bad, message):
+    # a bool label was searched as 0 or 1, and a string endpoint raised
+    # TypeError from the comparisons
+    monkeypatch.setattr(core, "_kernel", kernel)
+    one = G.Graph.make("one", [0], [])
+    with pytest.raises(ValueError, match=message):
+        ged_exact(bad, one)
+    with pytest.raises(ValueError, match=message):
+        ged_exact(one, bad)
+
+
 def test_expansions_reported():
     g1, g2 = rand_pair(5)
     res = ged_exact(g1, g2)

@@ -49,6 +49,9 @@ def test_validate_catches_violations():
     assert any("non-negative integer" in v for v in validate(Graph("g", (0, -1), ())))
     assert any("non-negative integer" in v for v in validate(Graph("g", (0.5,), ())))
     assert any("non-negative integer" in v for v in validate(Graph("g", ("a",), ())))
+    assert any("non-negative integer" in v for v in validate(Graph("g", (0, True), ())))
+    for edge in (("a", 1), (0, True), (0, 1.0), (None, 1)):
+        assert any("not both integers" in v for v in validate(Graph("g", (0, 1), (edge,))))
     with pytest.raises(ValueError):
         require_valid(Graph("g", (), ()))
 

@@ -21,6 +21,7 @@ from gedraft.dataset import (
     json_float,
     write_dataset,
 )
+from gedraft.autodiff import Tensor
 from gedraft.graphs import Graph
 from gedraft.model import ModelConfig, init_params, save_checkpoint
 from gedraft.optim import Adam
@@ -110,12 +111,13 @@ def reference_checkpoint_bytes(params, cfg, state, path):
         "version": "1",
         "config": cfg.to_json(),
         "params": {name: array(t.values) for name, t in sorted(params.items())},
-        "optimizer": {
+    }
+    if state is not None:
+        doc["optimizer"] = {
             "step": state["step"],
             "m": {k: array(v) for k, v in sorted(state["m"].items())},
             "v": {k: array(v) for k, v in sorted(state["v"].items())},
-        },
-    }
+        }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -230,3 +232,43 @@ def test_checkpoint_bytes_unchanged(tiny_dataset, tmp_path):
     assert (tmp_path / "new.json").read_bytes() == reference_checkpoint_bytes(
         params, cfg, state, tmp_path / "old.json"
     )
+
+
+FINITE = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def named_arrays(draw):
+    """Arrays under nasty names: 0-d, empty, and of up to three dimensions."""
+    arrays = {}
+    for name in draw(st.lists(NASTY, max_size=4, unique=True)):
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        values = draw(st.lists(FINITE, min_size=math.prod(shape), max_size=math.prod(shape)))
+        arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
+    return arrays
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(named_arrays(), st.none() | st.tuples(st.integers(0, 10**6), named_arrays(), named_arrays()))
+def test_checkpoint_text_equals_json_dumps(arrays, opt):
+    # the streaming writer against the one-shot reference, with and without
+    # optimizer state
+    cfg = ModelConfig(alphabet_size=3, hidden=4, layers=1)
+    params = {name: Tensor(a) for name, a in arrays.items()}
+    state = None if opt is None else {"step": opt[0], "m": opt[1], "v": opt[2]}
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.json", Path(tmp) / "old.json"
+        save_checkpoint(params, cfg, new, optimizer_state=state)
+        assert new.read_bytes() == reference_checkpoint_bytes(params, cfg, state, old)
+
+
+def test_refused_checkpoint_leaves_the_file_alone(tmp_path):
+    cfg = ModelConfig(alphabet_size=3, hidden=4, layers=1)
+    params = init_params(cfg)
+    path = tmp_path / "m.json"
+    path.write_text("previous\n")
+    state = Adam(params).state_dict()
+    state["v"]["regressor.b3"][0] = math.inf
+    with pytest.raises(ValueError):
+        save_checkpoint(params, cfg, path, optimizer_state=state)
+    assert path.read_text() == "previous\n"
