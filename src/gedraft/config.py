@@ -1,6 +1,6 @@
-"""Run configuration: key=value sections in a config file, flag overrides.
+"""Run configuration file: INI sections ``[model]`` and ``[train]``.
 
-Format (INI-style sections, parsed with configparser)::
+Format (parsed with configparser, values read raw)::
 
     [model]
     hidden = 64
@@ -8,6 +8,8 @@ Format (INI-style sections, parsed with configparser)::
     readout = gca
     fusion = diffatt
     temperature = learnable
+    ntn_slices = 16
+    efn_reduction = 4
     seed = 0
 
     [train]
@@ -15,36 +17,31 @@ Format (INI-style sections, parsed with configparser)::
     batch_size = 128
     lr = 0.001
     validations = 20
+    val_window = 0.5
     seed = 0
 
-Unknown sections or keys are rejected; flags given on the command line
-override file values. Every run emits its fully resolved configuration in
-its report file.
+The keys of ``[model]`` are the fields of ``ModelConfig`` except
+``alphabet_size``, which the dataset sets; the keys of ``[train]`` are the
+fields of ``TrainConfig``. Each value is parsed as its field's type;
+``temperature`` is ``learnable`` or a number. A comment takes a line of its
+own. Every section and every key is optional: what is left out keeps the
+field's default, as shown above. A file that configparser cannot parse, an
+unknown section (``[DEFAULT]`` included) or key, and a value that does not
+parse raise ``ConfigError``; the dataclasses check the ranges. Flags given on
+the command line override file values, and every run emits its fully
+resolved configuration in its report file.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 
-MODEL_KEYS = {
-    "hidden": int,
-    "layers": int,
-    "readout": str,
-    "fusion": str,
-    "temperature": str,
-    "ntn_slices": int,
-    "efn_reduction": int,
-    "seed": int,
-}
-TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "validations": int,
-    "val_window": float,
-    "seed": int,
-}
-SCHEMA = {"model": MODEL_KEYS, "train": TRAIN_KEYS}
+from .model import ModelConfig
+from .training import TrainConfig
+
+SECTIONS = {"model": ModelConfig, "train": TrainConfig}
 
 
 class ConfigError(ValueError):
@@ -52,39 +49,41 @@ class ConfigError(ValueError):
 
 
 def parse_temperature(raw):
+    """``"learnable"`` or the number in ``raw``; the range is ModelConfig's
+    to check."""
     if raw == "learnable":
         return raw
     try:
-        t = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"temperature must be 'learnable' or a number, got {raw!r}")
-    if not t > 0:
-        raise ConfigError(f"temperature must be positive, got {t}")
-    return t
 
 
 def load_config(path) -> dict:
-    """Returns {"model": {...}, "train": {...}} with typed values."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Returns {"model": {...}, "train": {...}} with typed values; a section
+    the file leaves out is empty."""
+    # no section name is special: "" can head no section, so a [DEFAULT]
+    # section is an unknown one rather than defaults for the others
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}")
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    out: dict[str, dict] = {}
+    out = {section: {} for section in SECTIONS}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        keys = SCHEMA[section]
-        out[section] = {}
+        cls = SECTIONS[section]
+        keys = {f.name for f in dataclasses.fields(cls)} - {"alphabet_size"}
+        types = typing.get_type_hints(cls)
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            if section == "model" and key == "temperature":
-                out[section][key] = parse_temperature(raw)
-                continue
+            parse = parse_temperature if key == "temperature" else types[key]
             try:
-                out[section][key] = keys[key](raw)
+                out[section][key] = parse(raw)
             except ValueError:
-                raise ConfigError(
-                    f"bad value for {key!r} in [{section}]: {raw!r}"
-                )
+                raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}")
     return out

@@ -11,7 +11,9 @@ round-trip restores every parameter bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .dataset import json_float
 from .graphs import Graph
 
 CHECKPOINT_VERSION = "1"
-_INT_FIELDS = ("alphabet_size", "hidden", "layers", "ntn_slices", "efn_reduction", "seed")
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class ModelConfig:
     layers: int = 3
     readout: str = "gca"
     fusion: str = "diffatt"
-    temperature: object = "learnable"  # "learnable" or a positive float
+    temperature: object = "learnable"  # "learnable" or a finite positive float
     ntn_slices: int = 16
     efn_reduction: int = 4
     seed: int = 0
@@ -47,8 +48,11 @@ class ModelConfig:
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.fusion not in fus.VARIANTS:
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
-        if self.temperature != "learnable" and not float(self.temperature) > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        # a JSON integer can lie beyond the largest double, so no float() here
+        if self.temperature != "learnable" and not 0 < self.temperature <= sys.float_info.max:
+            raise ValueError(
+                f"temperature must be 'learnable' or finite and positive, got {self.temperature}"
+            )
 
     @property
     def fused_dim(self) -> int:
@@ -74,13 +78,12 @@ class ModelConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "alphabet_size" not in doc:
             raise ValueError("config lacks alphabet_size")
+        types = typing.get_type_hints(ModelConfig)
         for key, value in doc.items():
-            if key in _INT_FIELDS:
-                ok = type(value) is int
-            elif key == "temperature":
+            if key == "temperature":
                 ok = value == "learnable" or type(value) in (int, float)
             else:
-                ok = isinstance(value, str)
+                ok = type(value) is types[key]
             if not ok:
                 raise ValueError(f"config field {key!r} has a value of the wrong type: {value!r}")
         return ModelConfig(**doc)

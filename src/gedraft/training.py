@@ -8,6 +8,7 @@ loss are returned (earliest such point on ties, for determinism).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.validations < 1:
             raise ValueError("epochs, batch_size, validations must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0 < self.val_window <= 1:
             raise ValueError("val_window must be in (0, 1]")
 

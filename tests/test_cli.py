@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from gedraft import cli
 from gedraft.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from gedraft.dataset import read_dataset
-from gedraft.model import load_checkpoint
+from gedraft.model import ModelConfig, load_checkpoint
+from gedraft.training import TrainConfig
 
 
 def write_graph(path, gid, labels, edges):
@@ -115,6 +119,99 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     _, cfg, _ = load_checkpoint(out)
     assert cfg.fusion == "square"  # flag wins over file
     assert cfg.hidden == 8  # file value survives
+
+
+def train_with(workspace, tmp_path, *flags, config=None):
+    """Exit code of ``gedraft train`` on the workspace dataset, with a config
+    file of the text ``config`` if it is given."""
+    argv = ["train", "--dataset", str(workspace["dataset"]), "--out", str(tmp_path / "m.json"),
+            "--history", str(tmp_path / "h.json"), "--quiet", *flags]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    return main(argv)
+
+
+def test_config_file_with_only_a_train_section(workspace, tmp_path):
+    assert train_with(
+        workspace, tmp_path, "--hidden", "8", "--layers", "1", "--fusion", "abs",
+        config="[train]\nepochs = 1\nbatch_size = 16\n",
+    ) == EXIT_OK
+    report = json.loads((tmp_path / "h.json").read_text())["resolved_config"]
+    assert report["model"]["hidden"] == 8 and report["train"]["epochs"] == 1
+
+
+# a value other than the default for every field that a config file sets;
+# a new field must be added here, and so be shown to reach the run
+FILE_VALUES = {
+    "model": {"hidden": 6, "layers": 1, "readout": "sum", "fusion": "ntn", "temperature": 0.25,
+              "ntn_slices": 3, "efn_reduction": 2, "seed": 5},
+    "train": {"epochs": 1, "batch_size": 8, "lr": 0.004, "validations": 2, "val_window": 0.75,
+              "seed": 9},
+}
+
+
+def test_every_config_field_is_set_from_the_file(workspace, tmp_path):
+    for section, defaults in (("model", ModelConfig(alphabet_size=3)), ("train", TrainConfig())):
+        fields = {f.name for f in dataclasses.fields(defaults)} - {"alphabet_size"}
+        assert set(FILE_VALUES[section]) == fields
+        for key, value in FILE_VALUES[section].items():
+            assert getattr(defaults, key) != value, key
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+        for section, values in FILE_VALUES.items()
+    )
+    assert train_with(workspace, tmp_path, config=text) == EXIT_OK
+    report = json.loads((tmp_path / "h.json").read_text())["resolved_config"]
+    assert report["model"] == {"alphabet_size": 3, **FILE_VALUES["model"]}
+    assert report["train"] == FILE_VALUES["train"]
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", refuse)
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--temperature", "inf"], None, "temperature"),
+        (["--temperature", "nan"], None, "temperature"),
+        (["--temperature", "0"], None, "temperature"),
+        ([], "[model]\ntemperature = inf\n", "temperature"),
+        (["--lr", "-5"], None, "lr"),
+        (["--lr", "0"], None, "lr"),
+        (["--lr", "nan"], None, "lr"),
+        ([], "[train]\nlr = inf\n", "lr"),
+        # malformed files
+        ([], "hidden = 8\n", "no section headers"),
+        ([], "[train]\nlr = 0.1\nlr = 0.2\n", "already exists"),
+        ([], "[train]\n[train]\n", "already exists"),
+        ([], "[model]\nreadout = %(x)s\n", "readout"),
+        ([], "[DEFAULT]\nseed = 4\n", "DEFAULT"),
+    ],
+    ids=["temperature-inf", "temperature-nan", "temperature-0", "file-temperature-inf",
+         "lr-negative", "lr-0", "lr-nan", "file-lr-inf", "no-section-header",
+         "duplicate-option", "duplicate-section", "interpolation", "default-section"],
+)
+def test_train_refuses_bad_config_before_training(
+    workspace, tmp_path, capsys, no_training, flags, config, message
+):
+    assert train_with(workspace, tmp_path, *flags, config=config) == EXIT_USAGE
+    assert not (tmp_path / "m.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_gradcheck_last_line_names_no_backend(monkeypatch, capsys):
+    # the full model at small widths, so that the check takes a second, not ten
+    small = functools.partial(cli.full_model_gradcheck, hidden=4, layers=1)
+    monkeypatch.setattr(cli, "full_model_gradcheck", small)
+    assert main(["gradcheck"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "all operators below 0.0001"
 
 
 def test_eval_writes_report(workspace, tmp_path, capsys):

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from gedraft.config import ConfigError, load_config, parse_temperature
+from gedraft.model import ModelConfig
+from gedraft.training import TrainConfig
 
 GOOD = """\
 [model]
@@ -42,12 +46,39 @@ def test_load_full_config(tmp_path):
 
 def test_partial_config(tmp_path):
     cfg = load_config(write(tmp_path, "[model]\nhidden = 8\n"))
-    assert cfg == {"model": {"hidden": 8}}
+    assert cfg == {"model": {"hidden": 8}, "train": {}}
+    cfg = load_config(write(tmp_path, "[train]\nepochs = 2\n"))
+    assert cfg == {"model": {}, "train": {"epochs": 2}}
 
 
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="section"):
         load_config(write(tmp_path, "[mystery]\nx = 1\n"))
+
+
+# more malformed files, each through `gedraft train`, are in test_cli.py
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[model]\nhidden\n", "[Pp]arsing"),
+        # configparser would read [DEFAULT]'s keys into every section
+        ("[DEFAULT]\n", r"unknown config section \[DEFAULT\]"),
+        ("[model]\nhidden = %(x)s\n", "bad value for 'hidden'"),
+    ],
+)
+def test_malformed_file_rejected(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, text))
+
+
+def test_values_are_read_raw(tmp_path):
+    cfg = load_config(write(tmp_path, "[model]\nreadout = %(x)s\nfusion = 50%\n"))
+    assert cfg["model"] == {"readout": "%(x)s", "fusion": "50%"}
+
+
+def test_alphabet_size_is_not_a_file_key(tmp_path):
+    with pytest.raises(ConfigError, match="alphabet_size"):
+        load_config(write(tmp_path, "[model]\nalphabet_size = 3\n"))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -73,7 +104,17 @@ def test_numeric_temperature(tmp_path):
 def test_parse_temperature():
     assert parse_temperature("learnable") == "learnable"
     assert parse_temperature("2.0") == 2.0
-    with pytest.raises(ConfigError):
-        parse_temperature("-1")
+    # it only parses: ModelConfig refuses a temperature out of range
+    assert parse_temperature("-1") == -1.0
     with pytest.raises(ConfigError):
         parse_temperature("warm")
+
+
+def test_readme_example_sets_every_key_to_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n")[1].split("```")[0]
+    cfg = load_config(write(tmp_path, example))
+    assert ModelConfig(alphabet_size=1, **cfg["model"]) == ModelConfig(alphabet_size=1)
+    assert TrainConfig(**cfg["train"]) == TrainConfig()
+    assert set(cfg["model"]) == set(ModelConfig.__dataclass_fields__) - {"alphabet_size"}
+    assert set(cfg["train"]) == set(TrainConfig.__dataclass_fields__)

@@ -114,9 +114,12 @@ def _with_graph(ds, labels=None, edges=None):
         (lambda ds: _with_pair(ds, nged="0.8"), "pair 0: nged and sim must be numbers"),
         (lambda ds: _with_pair(ds, sim=None), "pair 0: nged and sim must be numbers"),
         (lambda ds: Dataset((0, 1, 2), ds.graphs, ds.pairs), "alphabet must be a list of strings"),
-        (lambda ds: _with_graph(ds, labels=(0, True, 2)), "graph 'b': labels must be integers"),
-        (lambda ds: _with_graph(ds, edges=((0, 1), (1, 2.0))), "graph 'b': edge endpoints"),
-        (lambda ds: _with_graph(ds, edges=((0, 1), (np.int64(1), 2))), "graph 'b': edge endpoints"),
+        (lambda ds: _with_graph(ds, labels=(0, True, 2)),
+         "graph 'b': label True of node 1 is not a non-negative integer"),
+        (lambda ds: _with_graph(ds, edges=((0, 1), (1, 2.0))),
+         r"graph 'b': edge \(1,2.0\) endpoints are not both integers"),
+        (lambda ds: _with_graph(ds, edges=((0, 1), (np.int64(1), 2))),
+         r"graph 'b': edge \(.*1.*,2\) endpoints are not both integers"),
         (lambda ds: Dataset(ds.alphabet, [*ds.graphs, Graph(2, (0,), ())], ds.pairs),
          "graph id 2 is not a string"),
     ],

@@ -30,8 +30,9 @@ def test_config_validation():
         ModelConfig(alphabet_size=3, readout="nope")
     with pytest.raises(ValueError):
         ModelConfig(alphabet_size=3, fusion="nope")
-    with pytest.raises(ValueError):
-        ModelConfig(alphabet_size=3, temperature=-1.0)
+    for temperature in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="temperature"):
+            ModelConfig(alphabet_size=3, temperature=temperature)
 
 
 def test_config_json_roundtrip_and_unknown_keys():
@@ -203,6 +204,19 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, name):
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(MALFORMED_CHECKPOINTS[name](doc)))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e400", "Infinity", "NaN", "0", "-1", pytest.param("1" + "0" * 400, id="10**400")]
+)
+def test_checkpoint_rejects_temperature_out_of_range(tmp_path, text):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(CFG), CFG, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["temperature"] = "TEMPERATURE"
+    path.write_text(json.dumps(doc).replace('"TEMPERATURE"', text))
+    with pytest.raises(CheckpointError, match="temperature"):
         load_checkpoint(path)
 
 
