@@ -1,9 +1,13 @@
 """Minimal dense-tensor reverse-mode differentiation engine.
 
 Double precision throughout. The operator set is exactly what the model
-needs: elementwise arithmetic, matmul on operands of 2+ dimensions, linear
-(x @ W + b as one node), the activations, temperature softmax, layer norm,
-concat/gather, sum over axes, max over one axis, and MSE loss.
+needs: elementwise add, sub and mul, matmul on operands of 2+ dimensions,
+linear (x @ W + b as one node), reshape, concat, row gather, abs, relu,
+tanh and sigmoid, sum over axes, max over one axis, and MSE loss. A model
+block that would otherwise record many of these nodes is one ``fused``
+node instead: it computes its value and all of its gradients in NumPy and
+records one tape node (the encoder layer, the gca readout and difference
+attention).
 
 Broadcasting is limited to bias addition over the last axis and leading
 batch dimensions in matmul/elementwise ops; gradients of broadcast
@@ -20,6 +24,8 @@ require a gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -34,8 +40,9 @@ def _check_broadcast(sa, sb):
         raise ShapeError(f"incompatible shapes {sa} and {sb}")
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum grad over the axes that were broadcast to reach its shape."""
+def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum grad over the axes that were broadcast to reach ``shape``; grad
+    itself when it has that shape."""
     if grad.shape == tuple(shape):
         return grad
     extra = grad.ndim - len(shape)
@@ -85,6 +92,34 @@ def _make(values, parents):
     out = Tensor(values, requires_grad=bool(parents))
     out._parents = parents
     return out
+
+
+def fused(values, inputs, grads) -> Tensor:
+    """One tape node for a block of ops: ``grads(g)`` returns the block's
+    contributions to ``inputs``, in order, in one pass.
+
+    An input the block reads in several places is listed once per
+    contribution, in the order the block's composed ops would hand them to
+    it; ``backward`` then adds them in that order, so the sums keep their
+    bits.
+    """
+    recorded = [k for k, t in enumerate(inputs) if t.requires_grad]
+    pending = {}
+
+    def contribution(k):
+        def fn(g):
+            # backward calls the parents' functions in order, one node at a
+            # time: the first computes every contribution, the last drops them
+            if k == recorded[0]:
+                pending["grads"] = grads(g)
+            out = pending["grads"][k]
+            if k == recorded[-1]:
+                del pending["grads"]
+            return out
+
+        return fn
+
+    return _make(values, [(inputs[k], contribution(k)) for k in recorded])
 
 
 def backward(loss: Tensor) -> None:
@@ -144,8 +179,8 @@ def add(a, b) -> Tensor:
     return _make(
         a.values + b.values,
         [
-            (a, lambda g: _unbroadcast(g, a.shape)),
-            (b, lambda g: _unbroadcast(g, b.shape)),
+            (a, lambda g: unbroadcast(g, a.shape)),
+            (b, lambda g: unbroadcast(g, b.shape)),
         ],
     )
 
@@ -156,8 +191,8 @@ def sub(a, b) -> Tensor:
     return _make(
         a.values - b.values,
         [
-            (a, lambda g: _unbroadcast(g, a.shape)),
-            (b, lambda g: _unbroadcast(-g, b.shape)),
+            (a, lambda g: unbroadcast(g, a.shape)),
+            (b, lambda g: unbroadcast(-g, b.shape)),
         ],
     )
 
@@ -169,20 +204,24 @@ def mul(a, b) -> Tensor:
     return _make(
         a.values * b.values,
         [
-            (a, lambda g: _unbroadcast(g * b.values, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.values, b.shape)),
+            (a, lambda g: unbroadcast(g * b.values, a.shape)),
+            (b, lambda g: unbroadcast(g * a.values, b.shape)),
         ],
     )
 
 
-def scalar_mul(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    return _make(a.values * c, [(a, lambda g: g * c)])
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shaping
+
+
+def matmul_grad_left(g: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    """The gradient of a, of shape ``shape``, in a @ b given g for a @ b."""
+    return unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), shape)
+
+
+def matmul_grad_right(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """The gradient of b, of shape ``shape``, in a @ b given g for a @ b."""
+    return unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), shape)
 
 
 def _matmul_values(a: Tensor, b: Tensor) -> np.ndarray:
@@ -201,8 +240,8 @@ def matmul(a, b) -> Tensor:
     return _make(
         _matmul_values(a, b),
         [
-            (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape)),
-            (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape)),
+            (a, lambda g: matmul_grad_left(g, bv, a.shape)),
+            (b, lambda g: matmul_grad_right(av, g, b.shape)),
         ],
     )
 
@@ -217,9 +256,9 @@ def linear(x, w, b) -> Tensor:
     return _make(
         prod + b.values,
         [
-            (x, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(wv, -1, -2)), x.shape)),
-            (w, lambda g: _unbroadcast(np.matmul(np.swapaxes(xv, -1, -2), g), w.shape)),
-            (b, lambda g: _unbroadcast(g, b.shape)),
+            (x, lambda g: matmul_grad_left(g, wv, x.shape)),
+            (w, lambda g: matmul_grad_right(xv, g, w.shape)),
+            (b, lambda g: unbroadcast(g, b.shape)),
         ],
     )
 
@@ -228,14 +267,6 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
     return _make(a.values.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    return _make(
-        np.swapaxes(a.values, ax1, ax2),
-        [(a, lambda g: np.swapaxes(g, ax1, ax2))],
-    )
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -258,14 +289,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def index_rows(a, idx) -> Tensor:
-    """Gather rows along axis 0; gradient scatter-adds back."""
+    """Gather rows along axis 0; gradient scatter-adds back.
+
+    The scatter is a weighted bincount over flat indices: like
+    ``np.add.at`` into zeros, it adds each row's gradients from +0.0 in the
+    order the rows were gathered, so it gives the same bits.
+    """
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def grad_fn(g):
-        out = np.zeros(a.shape)
-        np.add.at(out, idx, g)
-        return out
+        width = math.prod(a.shape[1:])
+        flat = ((idx % a.shape[0])[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=a.values.size).reshape(a.shape)
 
     return _make(a.values[idx], [(a, grad_fn)])
 
@@ -296,66 +332,6 @@ def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.values))
     return _make(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.values)
-    return _make(out, [(a, lambda g: g * out)])
-
-
-def softmax_with_temperature(a, t: float = 1.0, axis: int = -1) -> Tensor:
-    """softmax(x / t) along an axis; t must be a positive constant.
-
-    A learnable temperature is handled upstream by scaling the logits with
-    exp(-theta) before a t=1 softmax.
-    """
-    a = as_tensor(a)
-    t = float(t)
-    if t <= 0:
-        raise ValueError(f"temperature must be > 0, got {t}")
-    z = a.values / t
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return (g - inner) * s / t
-
-    return _make(s, [(a, grad_fn)])
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply a learnable affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} "
-            f"do not match feature dim {d}"
-        )
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
-    out = xhat * gain.values + bias.values
-
-    def grad_x(g):
-        dxhat = g * gain.values
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (dxhat - m1 - xhat * m2) * inv
-
-    lead = tuple(range(x.ndim - 1))
-    return _make(
-        out,
-        [
-            (x, grad_x),
-            (gain, lambda g: (g * xhat).sum(axis=lead)),
-            (bias, lambda g: g.sum(axis=lead)),
-        ],
-    )
 
 
 # ---------------------------------------------------------------------------

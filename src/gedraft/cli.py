@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ConfigError, load_config, parse_temperature
 from .dataset import DatasetFormatError, read_dataset, write_dataset
-from .encoder import READOUTS
-from .fusion import VARIANTS
+from .encoder import READOUTS, enhanced_layer, readout
+from .fusion import VARIANTS, diffatt_pair
 from .ged import BACKEND, DEFAULT_BUDGET, GedBudgetExceeded, ged_exact
 from .graphs import Graph, require_valid
 from .metrics import evaluate
@@ -194,31 +194,42 @@ def _gradcheck_cases():
     def t(shape):
         return ad.Tensor(rng.uniform(-1.5, 1.5, shape), requires_grad=True)
 
-    fixed = ad.Tensor(rng.uniform(-1, 1, (5,)))
-    fixed2 = ad.Tensor(rng.uniform(-1, 1, (3, 6)))
     away_from_kink = ad.Tensor(
         rng.uniform(0.5, 1.5, (4, 3)) * np.sign(rng.uniform(-1, 1, (4, 3))),
         requires_grad=True,
     )
+    # a batch of a 3-node path and a 2-node graph padded to 3 nodes
+    adjacency = np.array([[[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                          [[0, 1, 0], [1, 0, 0], [0, 0, 0]]], dtype=np.float64)
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])[:, :, None]
+    weights = ad.Tensor(rng.uniform(-1, 1, (2, 3, 4)))
+    graph_weights = ad.Tensor(rng.uniform(-1, 1, (2, 4)))
+    pair_weights = ad.Tensor(rng.uniform(-1, 1, (2, 8)))
+    layer_names = ("eps", "gin.W", "gin.b", "gin.ln.gain", "gin.ln.bias",
+                   "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")
+    attention_names = ("fusion.log_t", "fusion.mlp.W1", "fusion.mlp.b1",
+                       "fusion.mlp.W2", "fusion.mlp.b2")
+
+    def enhanced(x, *p):
+        out = enhanced_layer(x, adjacency, {f"l.{n}": v for n, v in zip(layer_names, p)}, "l")
+        return ad.reduce_sum(ad.mul(out, weights))
+
+    def gca(x, w):
+        return ad.reduce_sum(ad.mul(readout(x, "gca", w, mask), graph_weights))
+
+    def attention(h_i, h_j, *p):
+        out, _ = diffatt_pair(h_i, h_j, dict(zip(attention_names, p)))
+        return ad.reduce_sum(ad.mul(out, pair_weights))
+
     cases = {
         "add": (lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b))), [t((3, 4)), t((3, 4))]),
         "sub": (lambda a, b: ad.reduce_sum(ad.mul(ad.sub(a, b), ad.sub(a, b))), [t((3, 4)), t((3, 4))]),
         "mul": (lambda a, b: ad.reduce_sum(ad.mul(a, b)), [t((3, 4)), t((3, 4))]),
-        "scalar_mul": (lambda a: ad.reduce_sum(ad.scalar_mul(a, -2.5)), [t((3, 4))]),
         "matmul": (lambda a, b: ad.reduce_sum(ad.tanh(ad.matmul(a, b))), [t((3, 4)), t((4, 2))]),
         "abs": (lambda a: ad.reduce_sum(ad.absolute(a)), [away_from_kink]),
         "relu": (lambda a: ad.reduce_sum(ad.relu(a)), [away_from_kink]),
         "tanh": (lambda a: ad.reduce_sum(ad.tanh(a)), [t((4,))]),
         "sigmoid": (lambda a: ad.reduce_sum(ad.sigmoid(a)), [t((4,))]),
-        "exp": (lambda a: ad.reduce_sum(ad.exp(a)), [t((4,))]),
-        "softmax": (
-            lambda a: ad.reduce_sum(ad.mul(ad.softmax_with_temperature(a, 0.7), fixed)),
-            [t((5,))],
-        ),
-        "layer_norm": (
-            lambda x, g, b: ad.reduce_sum(ad.mul(ad.layer_norm(x, g, b), fixed2)),
-            [t((3, 6)), t((6,)), t((6,))],
-        ),
         "concat": (
             lambda a, b: ad.reduce_sum(ad.mul(ad.concat([a, b]), ad.concat([a, b]))),
             [t((3,)), t((4,))],
@@ -228,6 +239,11 @@ def _gradcheck_cases():
         "mse_loss": (lambda a, b: ad.mse_loss(a, b), [t((5,)), t((5,))]),
         "linear": (lambda x, w, b: ad.reduce_sum(ad.tanh(ad.linear(x, w, b))),
                    [t((2, 3, 4)), t((4, 2)), t((2,))]),
+        "enhanced_layer": (enhanced, [t((2, 3, 4)), t(()), t((4, 4)), t((4,)), t((4,)),
+                                      t((4,)), t((4, 4)), t((4,)), t((4, 4)), t((4,))]),
+        "gca_readout": (gca, [t((2, 3, 4)), t((4, 4))]),
+        "diffatt": (attention, [t((2, 4)), t((2, 4)), t(()), t((4, 4)), t((4,)),
+                                t((4, 4)), t((4,))]),
     }
     return cases
 

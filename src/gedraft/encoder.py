@@ -5,8 +5,14 @@ A linear input projection is followed by K enhanced message-passing layers
 add, then a two-layer feed-forward block). A graph-level readout (mean,
 max, sum, or global context attention) is taken at every scale 0..K.
 
-``init_mlp`` and ``mlp`` are the one relu MLP of the model stack, used by
-the feed-forward blocks, the fusion MLPs, the regressor and the RESAT probe.
+Each enhanced layer and each gca readout is one fused autodiff node
+(``autodiff.fused``): its value and gradients are those of the composed
+elementary ops bit for bit, at one tape node instead of a dozen.
+
+``init_mlp`` makes the parameters of every relu MLP of the model stack.
+``mlp`` runs the efn fusion MLP, the regressor and the RESAT probe; the
+feed-forward blocks and the difference attention MLP run inside their
+fused nodes.
 
 A batch of graphs is encoded in one pass: node features and adjacency are
 zero-padded to the batch's largest graph, and a node mask keeps the padded
@@ -23,6 +29,7 @@ from .autodiff import Tensor
 from .graphs import Graph
 
 READOUTS = ("mean", "max", "sum", "gca")
+LAYER_NORM_EPS = 1e-5
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
@@ -79,31 +86,99 @@ def init_encoder_params(
     return p
 
 
-def gin_aggregate(x, adjacency, eps) -> Tensor:
-    """(1 + eps) * x_i + sum of neighbor features.
+def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tensor:
+    """FFN(x + GIN(x)) as one tape node, where GIN(x) is
+    relu(layer_norm(((1 + eps) * x + A x) W + b)) and FFN is a two-layer relu
+    MLP.
 
-    x is (n, h) or batched (B, n, h) with adjacency (n, n) / (B, n, n);
-    eps may be a float or a scalar Tensor.
+    x is (B, n, h) with adjacency A (B, n, n). The value and the gradients
+    are those of the composed ops (add, mul, matmul, linear, layer norm,
+    relu) bit for bit: each expression is theirs, in their order.
     """
     x = ad.as_tensor(x)
-    adjacency = ad.as_tensor(adjacency)
-    if x.shape[:-1] != adjacency.shape[:-1]:
-        raise ad.ShapeError(
-            f"adjacency shape {adjacency.shape} does not match features {x.shape}"
-        )
-    scale = ad.add(eps, Tensor(1.0)) if isinstance(eps, Tensor) else float(1 + eps)
-    self_term = ad.mul(x, scale) if isinstance(scale, Tensor) else ad.scalar_mul(x, scale)
-    return ad.add(self_term, ad.matmul(adjacency, x))
+    names = ("eps", "gin.W", "gin.b", "gin.ln.gain", "gin.ln.bias",
+             "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")
+    p = [params[f"{prefix}.{name}"] for name in names]
+    eps, w, b, gain, bias, w1, b1, w2, b2 = (t.values for t in p)
+    xv = x.values
+    scale = eps + 1.0
+    agg = xv * scale + np.matmul(adjacency, xv)
+    lin = np.matmul(agg, w) + b
+    mu = lin.mean(axis=-1, keepdims=True)
+    var = lin.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (lin - mu) * inv
+    normed = xhat * gain + bias
+    gin_on = normed > 0
+    res = xv + normed * gin_on
+    hid = np.matmul(res, w1) + b1
+    hid_on = hid > 0
+    act = hid * hid_on
+    out = np.matmul(act, w2) + b2
+
+    def grads(g):
+        shape = x.shape
+        g_act = ad.matmul_grad_left(g, w2, act.shape)
+        g_w2 = ad.matmul_grad_right(act, g, w2.shape)
+        g_b2 = ad.unbroadcast(g, b2.shape)
+        g_hid = g_act * hid_on
+        g_res = ad.matmul_grad_left(g_hid, w1, shape)
+        g_w1 = ad.matmul_grad_right(res, g_hid, w1.shape)
+        g_b1 = ad.unbroadcast(g_hid, b1.shape)
+        g_normed = g_res * gin_on
+        dxhat = g_normed * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        g_lin = (dxhat - m1 - xhat * m2) * inv
+        lead = tuple(range(xv.ndim - 1))
+        g_gain = (g_normed * xhat).sum(axis=lead)
+        g_bias = g_normed.sum(axis=lead)
+        g_agg = ad.matmul_grad_left(g_lin, w, shape)
+        g_w = ad.matmul_grad_right(agg, g_lin, w.shape)
+        g_b = ad.unbroadcast(g_lin, b.shape)
+        g_x_adj = ad.matmul_grad_right(adjacency, g_agg, shape)
+        g_x_self = g_agg * scale
+        g_eps = ad.unbroadcast(g_agg * xv, ())
+        return [g_res, g_x_adj, g_x_self, g_eps, g_w, g_b, g_gain, g_bias,
+                g_w1, g_b1, g_w2, g_b2]
+
+    # x three times: the residual, the neighbour sum and the self term hand
+    # it their gradients in that order
+    return ad.fused(out, [x, x, x, *p], grads)
 
 
-def enhanced_layer(x, adjacency, params: dict, prefix: str) -> Tensor:
-    """x + GIN(x) through a feed-forward block: FFN(x + GIN(x))."""
-    agg = gin_aggregate(x, adjacency, params[f"{prefix}.eps"])
-    lin = ad.linear(agg, params[f"{prefix}.gin.W"], params[f"{prefix}.gin.b"])
-    gin = ad.relu(
-        ad.layer_norm(lin, params[f"{prefix}.gin.ln.gain"], params[f"{prefix}.gin.ln.bias"])
-    )
-    return mlp(ad.add(x, gin), params, f"{prefix}.ffn", 2)
+def _gca(x: Tensor, weight: Tensor, mask: np.ndarray) -> Tensor:
+    """Global context attention over (B, n, h) features as one tape node:
+    context c = tanh(masked mean(x) W), node scores sigmoid(x c) on real
+    nodes, and the score-weighted sum of x. Bit for bit the composed ops."""
+    xv, wv = x.values, weight.values
+    b, _, h = x.shape
+    mean_weights = mask / mask.sum(axis=1, keepdims=True)
+    weighted = xv * mean_weights
+    mean = weighted.sum(axis=(1,))
+    context = np.tanh(np.matmul(mean, wv))
+    column = context.reshape((b, h, 1))
+    scores = 1.0 / (1.0 + np.exp(-np.matmul(xv, column)))  # (B, n, 1)
+    row = np.swapaxes(scores * mask, 1, 2)  # (B, 1, n)
+    out = np.matmul(row, xv).reshape((b, h))
+
+    def grads(g):
+        g_out = g.reshape((b, 1, h))
+        g_x_out = ad.matmul_grad_right(row, g_out, x.shape)
+        g_scores = np.swapaxes(ad.matmul_grad_left(g_out, xv, row.shape), 1, 2) * mask
+        g_logits = g_scores * scores * (1.0 - scores)
+        g_x_scores = ad.matmul_grad_left(g_logits, column, x.shape)
+        g_context = ad.matmul_grad_right(xv, g_logits, column.shape).reshape(context.shape)
+        g_pre = g_context * (1.0 - context * context)
+        g_mean = ad.matmul_grad_left(g_pre, wv, mean.shape)
+        g_w = ad.matmul_grad_right(mean, g_pre, wv.shape)
+        g_weighted = np.broadcast_to(np.expand_dims(g_mean, (1,)), weighted.shape).copy()
+        g_x_mean = g_weighted * mean_weights
+        return [g_x_out, g_x_scores, g_w, g_x_mean]
+
+    # x three times: the pooled sum, the scores and the context mean hand it
+    # their gradients in that order
+    return ad.fused(out, [x, x, weight, x], grads)
 
 
 def readout(x, kind: str, weight=None, mask=None) -> Tensor:
@@ -123,24 +198,19 @@ def readout(x, kind: str, weight=None, mask=None) -> Tensor:
         return ad.reduce_max(ad.add(x, padding), axis=node_axis)
     if kind == "sum":
         return ad.reduce_sum(ad.mul(x, Tensor(mask)), axis=node_axis)
-    mean_weights = Tensor(mask / mask.sum(axis=node_axis, keepdims=True))
-    mean = ad.reduce_sum(ad.mul(x, mean_weights), axis=node_axis)
     if kind == "mean":
-        return mean
+        mean_weights = Tensor(mask / mask.sum(axis=node_axis, keepdims=True))
+        return ad.reduce_sum(ad.mul(x, mean_weights), axis=node_axis)
     if kind == "gca":
         if weight is None:
             raise ValueError("gca readout needs its weight matrix")
         if x.ndim != 3:
             raise ad.ShapeError(f"gca readout needs features (B, n, h), got {x.shape}")
-        context = ad.tanh(ad.matmul(mean, weight))
-        b, _, h = x.shape
-        scores = ad.sigmoid(ad.matmul(x, ad.reshape(context, (b, h, 1))))  # (B,n,1)
-        out = ad.matmul(ad.swapaxes(ad.mul(scores, Tensor(mask)), 1, 2), x)  # (B,1,h)
-        return ad.reshape(out, (b, h))
+        return _gca(x, weight, mask)
     raise ValueError(f"unknown readout {kind!r}")
 
 
-def _encode_stack(xs: Tensor, adjacency: Tensor, mask: np.ndarray, params, layers, readout_kind):
+def _encode_stack(xs: Tensor, adjacency: np.ndarray, mask: np.ndarray, params, layers, readout_kind):
     """Per-scale readouts for one padded batch of graphs."""
     scales = []
 
@@ -167,17 +237,11 @@ def distinct_graphs(graphs: list[Graph]) -> tuple[list[Graph], list[int]]:
     return unique, [rows[g.id] for g in graphs]
 
 
-def encode_graphs(
-    graphs: list[Graph], params: dict, alphabet_size: int, layers: int, readout_kind: str
-) -> list[Tensor]:
-    """Encode a batch of graphs; returns one (B, hidden) tensor per scale.
-
-    Rows follow the input order. All graphs run as one batched pass over
-    one-hot features (B, n_max, alphabet_size), adjacency (B, n_max, n_max)
-    and a node mask (B, n_max, 1), zero-padded to the largest graph.
-    """
+def pad_batch(graphs: list[Graph], alphabet_size: int):
+    """One-hot features (B, n_max, alphabet_size), adjacency (B, n_max, n_max)
+    and node mask (B, n_max, 1) of the graphs, zero-padded to the largest."""
     sizes = np.array([g.n for g in graphs])
-    labels = np.array([label for g in graphs for label in g.labels], dtype=np.intp)
+    labels = np.concatenate([g.label_array for g in graphs])
     if labels.max() >= alphabet_size:
         bad = next(g for g in graphs if max(g.labels) >= alphabet_size)
         raise ValueError(f"graph {bad.id!r} has a label outside the alphabet")
@@ -186,12 +250,24 @@ def encode_graphs(
     node = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[row]
     xs = np.zeros((len(graphs), n_max, alphabet_size))
     xs[row, node, labels] = 1.0
-    edges = [(b, u, v) for b, g in enumerate(graphs) for u, v in g.edges]
-    b, u, v = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+    b = np.repeat(np.arange(len(graphs)), [g.num_edges for g in graphs])
+    u, v = np.concatenate([g.edge_array for g in graphs]).T
     adj = np.zeros((len(graphs), n_max, n_max))
     adj[b, u, v] = adj[b, v, u] = 1.0
     mask = (np.arange(n_max) < sizes[:, None])[:, :, None].astype(np.float64)
-    return _encode_stack(Tensor(xs), Tensor(adj), mask, params, layers, readout_kind)
+    return xs, adj, mask
+
+
+def encode_graphs(
+    graphs: list[Graph], params: dict, alphabet_size: int, layers: int, readout_kind: str
+) -> list[Tensor]:
+    """Encode a batch of graphs; returns one (B, hidden) tensor per scale.
+
+    Rows follow the input order. All graphs run as one batched pass over
+    their ``pad_batch`` arrays.
+    """
+    xs, adj, mask = pad_batch(graphs, alphabet_size)
+    return _encode_stack(Tensor(xs), adj, mask, params, layers, readout_kind)
 
 
 def encode(g: Graph, params: dict, alphabet_size: int, layers: int, readout_kind: str):

@@ -15,6 +15,11 @@ import numpy as np
 from .rng import SplitMix64
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Graph:
     """A frozen graph with tuple fields, so what is derived from it (the
@@ -92,6 +97,18 @@ class Graph:
         """``adjacency_masks()`` as a tuple, computed once per graph: the
         search kernel's input."""
         return tuple(self.adjacency_masks())
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """The labels as a read-only intp array, computed once per graph: the
+        encoder's input."""
+        return _read_only(np.array(self.labels, dtype=np.intp))
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (num_edges, 2) intp array, computed once
+        per graph: the encoder's input."""
+        return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:

@@ -11,7 +11,6 @@ round-trip restores every parameter bit-exactly.
 from __future__ import annotations
 
 import json
-import sys
 import typing
 from dataclasses import asdict, dataclass
 
@@ -42,17 +41,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.alphabet_size < 1 or self.hidden < 1 or self.layers < 1:
             raise ValueError("alphabet_size, hidden, and layers must be >= 1")
-        if self.ntn_slices < 1 or self.efn_reduction < 1 or self.seed < 0:
-            raise ValueError("ntn_slices and efn_reduction must be >= 1, seed >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.readout not in enc.READOUTS:
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.fusion not in fus.VARIANTS:
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
-        # a JSON integer can lie beyond the largest double, so no float() here
-        if self.temperature != "learnable" and not 0 < self.temperature <= sys.float_info.max:
-            raise ValueError(
-                f"temperature must be 'learnable' or finite and positive, got {self.temperature}"
-            )
+        fus.check_options(self.temperature, self.ntn_slices, self.efn_reduction)
 
     @property
     def fused_dim(self) -> int:

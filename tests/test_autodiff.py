@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
 
+import composed
 from gedraft import autodiff as ad
 from gedraft.autodiff import ShapeError, Tensor, backward
 from gedraft.cli import _gradcheck_cases
+from gedraft.graphs import generate_er
+from gedraft.model import ModelConfig, batch_loss, init_params
 from gedraft.optim import grad_check
 
 TOL = 1e-4
 
 
-@pytest.mark.parametrize("name", sorted(_gradcheck_cases()))
+def _cases():
+    # the CLI's operators and fused blocks, and the composed reference's ops
+    return {**_gradcheck_cases(), **composed.gradcheck_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
 def test_operator_gradcheck(name):
-    f, inputs = _gradcheck_cases()[name]
+    f, inputs = _cases()[name]
     assert grad_check(f, inputs) < TOL
 
 
 def test_backward_requires_scalar_root():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(ad.scalar_mul(x, 2.0))
+        backward(ad.mul(x, x))
 
 
 def test_grad_accumulates_over_reuse():
@@ -73,7 +81,7 @@ def test_leaf_grad_of_negative_zero_is_positive_zero():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     s = Tensor(np.array(0.0), requires_grad=True)
     # d/dx of sum(x * -0.0) is -0.0 everywhere, as is d/ds of s * -0.0
-    backward(ad.add(ad.reduce_sum(ad.mul(x, Tensor(np.full(3, -0.0)))), ad.scalar_mul(s, -0.0)))
+    backward(ad.add(ad.reduce_sum(ad.mul(x, Tensor(np.full(3, -0.0)))), ad.mul(s, Tensor(-0.0))))
     expected = np.zeros(3) + np.full(3, -0.0)
     assert x.grad.tobytes() == expected.tobytes() == np.zeros(3).tobytes()
     assert not np.signbit(x.grad).any()
@@ -102,7 +110,7 @@ def test_incompatible_shapes_raise():
     with pytest.raises(ShapeError):
         ad.mse_loss(Tensor(np.ones(3)), Tensor(np.ones(4)))
     with pytest.raises(ShapeError):
-        ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        composed.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 def test_abs_subgradient_zero_at_zero():
@@ -119,24 +127,24 @@ def test_reduce_max_routes_gradient_to_first_argmax():
 
 def test_softmax_temperature_limits():
     logits = Tensor(np.array([2.0, 1.0, 0.0]))
-    hot = ad.softmax_with_temperature(logits, 1e-6).values
+    hot = composed.softmax_with_temperature(logits, 1e-6).values
     assert hot[0] == pytest.approx(1.0, abs=1e-9)
-    cold = ad.softmax_with_temperature(logits, 1e6).values
+    cold = composed.softmax_with_temperature(logits, 1e6).values
     assert np.allclose(cold, 1 / 3, atol=1e-6)
     with pytest.raises(ValueError):
-        ad.softmax_with_temperature(logits, 0.0)
+        composed.softmax_with_temperature(logits, 0.0)
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(np.random.default_rng(3).normal(size=(4, 6)) * 30)
-    s = ad.softmax_with_temperature(x, 0.5, axis=-1).values
+    s = composed.softmax_with_temperature(x, 0.5, axis=-1).values
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     assert (s > 0).all()
 
 
 def test_layer_norm_statistics():
     x = Tensor(np.random.default_rng(5).normal(size=(7, 9)) * 4 + 2)
-    out = ad.layer_norm(x, Tensor(np.ones(9)), Tensor(np.zeros(9))).values
+    out = composed.layer_norm(x, Tensor(np.ones(9)), Tensor(np.zeros(9))).values
     assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
     assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)  # eps-limited
 
@@ -149,10 +157,25 @@ def test_index_rows_gather_and_scatter():
     assert np.array_equal(x.grad, [[1, 1, 1], [0, 0, 0], [2, 2, 2], [0, 0, 0]])
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (5,), (5, 2, 2)])
+def test_index_rows_scatter_matches_add_at_bit_for_bit(shape):
+    # row 3 sums four gradients whose total depends on the order, row 0
+    # only -0.0s, rows 1 and 4 none; index -2 is row 3
+    idx = [3, 0, 3, 2, 0, 3, -2]
+    g = np.random.default_rng(2).normal(size=(len(idx),) + shape[1:]) * 1e16
+    g[1] = g[4] = -0.0
+    g[0] = -g[2]
+    x = Tensor(np.zeros(shape), requires_grad=True)
+    backward(ad.reduce_sum(ad.mul(ad.index_rows(x, idx), Tensor(g))))
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, g)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
 def test_concat_gradient_splits():
     a = Tensor(np.ones(2), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    backward(ad.reduce_sum(ad.scalar_mul(ad.concat([a, b]), 2.0)))
+    backward(ad.reduce_sum(ad.mul(ad.concat([a, b]), Tensor(2.0))))
     assert np.array_equal(a.grad, [2, 2])
     assert np.array_equal(b.grad, [2, 2, 2])
 
@@ -216,7 +239,7 @@ def test_backward_of_a_constant_root_does_nothing():
 
 def test_only_leaves_get_grad():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = ad.scalar_mul(x, 2.0)
+    y = ad.mul(x, Tensor(2.0))
     backward(ad.reduce_sum(y))
     assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
     assert y.grad is None
@@ -225,6 +248,35 @@ def test_only_leaves_get_grad():
 def test_mse_loss_value():
     loss = ad.mse_loss(Tensor(np.array([1.0, 2.0])), Tensor(np.array([0.0, 4.0])))
     assert float(loss.values) == 2.5
+
+
+def test_one_training_step_records_23_tape_nodes():
+    # the model shape of the train-eval benchmark: each encoder layer, gca
+    # readout and difference attention is one node, so the tape holds the
+    # projection, 2 layers, 3 readouts, 6 row gathers, 3 attentions, the
+    # concat, 3 linears and 2 relus of the regressor, its reshape and the
+    # loss. A block recomposed from elementary ops would add dozens.
+    cfg = ModelConfig(alphabet_size=3, hidden=32, layers=2, readout="gca", fusion="diffatt")
+    graphs = [generate_er(n, 0.5, 3, seed=n, gid=f"g{n}") for n in (1, 4, 6, 5)]
+    loss = batch_loss([(graphs[0], graphs[1]), (graphs[2], graphs[3])], [0.5, 0.2],
+                      init_params(cfg), cfg)
+    seen, stack, ops = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        ops += bool(node._parents)
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert ops == 23
+
+
+def test_fused_node_adds_repeated_inputs_in_list_order():
+    # three contributions to x whose sum depends on the order of addition
+    x = Tensor(np.zeros(()), requires_grad=True)
+    parts = [np.array(1e16), np.array(1.0), np.array(-1e16)]
+    backward(ad.fused(np.zeros(()), [x, x, x], lambda g: parts))
+    assert float(x.grad) == (1e16 + 1.0) - 1e16
 
 
 def test_deep_graph_backward_is_iterative():

@@ -1,14 +1,19 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import composed
+from composed import gin_aggregate
 from gedraft import autodiff as ad
 from gedraft.autodiff import Tensor
 from gedraft.encoder import (
     READOUTS,
     encode,
     encode_graphs,
-    gin_aggregate,
+    enhanced_layer,
     init_encoder_params,
+    pad_batch,
     readout,
 )
 from gedraft.graphs import SplitMix64, generate_er, permute
@@ -171,3 +176,55 @@ def test_mixed_size_batch_gradients_are_sums_of_per_graph_gradients(kind):
     per_graph = [grads([g], [i]) for i, g in enumerate(graphs)]
     for name, g in batched.items():
         assert np.allclose(g, sum(p[name] for p in per_graph), rtol=0, atol=1e-12), name
+
+
+def padded_batch(hidden=8, seed=4):
+    """Features, adjacency and mask of a padded batch with a 1-node graph."""
+    graphs = [generate_er(n, 0.6, 3, seed=seed + n, gid=f"g{n}") for n in (5, 1, 3)]
+    _, adjacency, mask = pad_batch(graphs, 3)
+    x = np.random.default_rng(seed).normal(size=(3, 5, hidden)) * mask
+    return x, adjacency, mask
+
+
+def test_fused_enhanced_layer_matches_composed_bit_for_bit():
+    x0, adjacency, _ = padded_batch()
+    params = make_params("gca")
+    names = sorted(n for n in params if n.startswith("encoder.layer1."))
+    results = []
+    for layer in (enhanced_layer, composed.enhanced_layer):
+        x = Tensor(x0.copy(), requires_grad=True)
+        p = {n: Tensor(params[n].values + 0.1, requires_grad=True) for n in names}
+        results.append(composed.run_with_grads(
+            lambda x, *ts: layer(x, adjacency, dict(zip(names, ts)), "encoder.layer1"),
+            [x, *(p[n] for n in names)],
+        ))
+    assert results[0] == results[1]
+
+
+def test_fused_gca_readout_matches_composed_bit_for_bit():
+    x0, _, mask = padded_batch()
+    w0 = make_params("gca")["encoder.gca.W0"].values
+    results = [
+        composed.run_with_grads(
+            lambda x, w: read(x, "gca", w, mask),
+            [Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)],
+        )
+        for read in (readout, composed.readout)
+    ]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind", READOUTS)
+def test_fused_encoder_matches_composed_bit_for_bit(kind):
+    # the layer's and the readout's contributions to a layer's input meet in
+    # one sum, whose order the fused nodes must keep
+    graphs = [generate_er(n, 0.6, 3, seed=30 + n, gid=f"g{n}") for n in (5, 1, 3, 6)]
+    results = []
+    for blocks in (contextlib.nullcontext, composed.composed_model):
+        params = make_params(kind, layers=3)
+        with blocks():
+            scales = encode_graphs(graphs, params, 3, 3, kind)
+            out = ad.concat(scales, axis=-1)
+            ad.backward(ad.reduce_sum(ad.mul(ad.tanh(out), Tensor(np.ones(out.shape) / 3))))
+        results.append([out.values.tobytes()] + [params[n].grad.tobytes() for n in sorted(params)])
+    assert results[0] == results[1]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import composed
 from gedraft import autodiff as ad
 from gedraft.autodiff import Tensor
 from gedraft.fusion import (
     VARIANTS,
     diffatt,
+    diffatt_pair,
     fuse,
     init_fusion_params,
     no_fusion,
@@ -139,3 +141,51 @@ def test_distance_symmetry():
     assert np.array_equal(
         fuse("square", h_i, h_j, {}).values, fuse("square", h_j, h_i, {}).values
     )
+
+
+@pytest.mark.parametrize("temperature", ["learnable", 0.5])
+def test_fused_diffatt_matches_composed_bit_for_bit(temperature):
+    h0_i, h0_j = (t.values for t in make_inputs(hidden=6, batch=5, seed=3))
+    h0_j[2] = h0_i[2]  # a pair of equal embeddings: |h_i - h_j| at its kink
+    p0 = params_for("diffatt", temperature=temperature)
+    if temperature == "learnable":
+        p0["fusion.log_t"] = Tensor(np.array(0.3))
+    names = sorted(p0)
+    results = []
+    for pair in (diffatt_pair, composed.diffatt_pair):
+        h_i, h_j = Tensor(h0_i.copy(), requires_grad=True), Tensor(h0_j.copy(), requires_grad=True)
+        ps = [Tensor(p0[n].values.copy(), requires_grad=True) for n in names]
+        results.append(composed.run_with_grads(
+            lambda h_i, h_j, *ts: pair(h_i, h_j, dict(zip(names, ts)), temperature)[0],
+            [h_i, h_j, *ps],
+        ))
+    assert results[0] == results[1]
+
+
+def test_diffatt_halves_are_the_fused_node():
+    h_i, h_j = make_inputs()
+    p = params_for("diffatt")
+    u_i, u_j, alpha = diffatt(h_i, h_j, p)
+    both, alpha_ref = composed.diffatt_pair(h_i, h_j, p)
+    assert np.concatenate([u_i.values, u_j.values], axis=-1).tobytes() == both.values.tobytes()
+    assert alpha.values.tobytes() == alpha_ref.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [float("inf"), 10**400, 0.0, -1.0])
+def test_init_and_diffatt_reject_a_temperature_out_of_range(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        params_for("diffatt", temperature=temperature)
+    h_i, h_j = make_inputs()
+    with pytest.raises(ValueError, match="temperature"):
+        diffatt(h_i, h_j, params_for("diffatt", temperature=1.0), temperature)
+
+
+def test_init_accepts_a_large_finite_temperature():
+    assert "fusion.log_t" not in params_for("diffatt", temperature=1e6)
+
+
+@pytest.mark.parametrize("slices, reduction", [(0, 2), (3, 0)])
+def test_init_rejects_fewer_than_one_slice_or_reduction(slices, reduction):
+    with pytest.raises(ValueError, match="ntn_slices"):
+        init_fusion_params(np.random.default_rng(0), "ntn", 4, ntn_slices=slices,
+                           efn_reduction=reduction)

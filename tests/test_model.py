@@ -1,12 +1,16 @@
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
+import composed
+from gedraft.autodiff import backward
 from gedraft.graphs import SplitMix64, generate_er, permute
 from gedraft.model import (
     CheckpointError,
     ModelConfig,
+    batch_loss,
     copy_params,
     forward,
     forward_pairs,
@@ -30,9 +34,25 @@ def test_config_validation():
         ModelConfig(alphabet_size=3, readout="nope")
     with pytest.raises(ValueError):
         ModelConfig(alphabet_size=3, fusion="nope")
-    for temperature in (-1.0, 0.0, float("inf"), float("nan")):
+    for temperature in (-1.0, 0.0, float("inf"), float("nan"), 10**400):
         with pytest.raises(ValueError, match="temperature"):
             ModelConfig(alphabet_size=3, temperature=temperature)
+
+
+@pytest.mark.parametrize("temperature", ["learnable", 0.5])
+def test_fused_model_matches_composed_bit_for_bit(temperature):
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt",
+                      temperature=temperature, seed=4)
+    graphs = [generate_er(n, 0.5, 3, seed=n, gid=f"g{n}") for n in (1, 5, 3, 6, 4)]
+    pairs = [(graphs[0], graphs[1]), (graphs[2], graphs[3]), (graphs[4], graphs[0])]
+    results = []
+    for blocks in (contextlib.nullcontext, composed.composed_model):
+        params = init_params(cfg)
+        with blocks():
+            loss = batch_loss(pairs, [0.2, 0.5, 0.9], params, cfg)
+            backward(loss)
+        results.append([loss.values.tobytes()] + [params[n].grad.tobytes() for n in sorted(params)])
+    assert results[0] == results[1]
 
 
 def test_config_json_roundtrip_and_unknown_keys():

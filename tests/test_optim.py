@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import composed
 from gedraft import autodiff as ad
 from gedraft import optim
 from gedraft.autodiff import Tensor, backward
@@ -252,7 +253,7 @@ def test_adam_steps_a_leaf_used_through_a_transpose(kernel_step, monkeypatch):
     start = np.arange(1.0, 7.0).reshape(2, 3)
     w = Tensor(start.copy(), requires_grad=True)
     opt = Adam({"w": w}, lr=0.1)
-    backward(ad.reduce_sum(ad.matmul(Tensor(np.ones((1, 3))), ad.swapaxes(w, 0, 1))))
+    backward(ad.reduce_sum(ad.matmul(Tensor(np.ones((1, 3))), composed.swapaxes(w, 0, 1))))
     assert w.grad.flags.c_contiguous
     opt.step()
     # a first step moves each coordinate by lr against its gradient's sign
