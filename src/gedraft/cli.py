@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ConfigError, load_config, parse_temperature
 from .dataset import DatasetFormatError, read_dataset, write_dataset
-from .encoder import READOUTS, enhanced_layer, readout
-from .fusion import VARIANTS, diffatt_pair
+from .encoder import LAYER_PARAMS, READOUTS, enhanced_layer, readout
+from .fusion import ATTENTION_PARAMS, VARIANTS, diffatt_pair
 from .ged import BACKEND, DEFAULT_BUDGET, GedBudgetExceeded, ged_exact
 from .graphs import Graph, require_valid
 from .metrics import evaluate
@@ -205,20 +205,16 @@ def _gradcheck_cases():
     weights = ad.Tensor(rng.uniform(-1, 1, (2, 3, 4)))
     graph_weights = ad.Tensor(rng.uniform(-1, 1, (2, 4)))
     pair_weights = ad.Tensor(rng.uniform(-1, 1, (2, 8)))
-    layer_names = ("eps", "gin.W", "gin.b", "gin.ln.gain", "gin.ln.bias",
-                   "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")
-    attention_names = ("fusion.log_t", "fusion.mlp.W1", "fusion.mlp.b1",
-                       "fusion.mlp.W2", "fusion.mlp.b2")
 
     def enhanced(x, *p):
-        out = enhanced_layer(x, adjacency, {f"l.{n}": v for n, v in zip(layer_names, p)}, "l")
+        out = enhanced_layer(x, adjacency, {f"l.{n}": v for n, v in zip(LAYER_PARAMS, p)}, "l")
         return ad.reduce_sum(ad.mul(out, weights))
 
     def gca(x, w):
         return ad.reduce_sum(ad.mul(readout(x, "gca", w, mask), graph_weights))
 
     def attention(h_i, h_j, *p):
-        out, _ = diffatt_pair(h_i, h_j, dict(zip(attention_names, p)))
+        out, _ = diffatt_pair(h_i, h_j, dict(zip(ATTENTION_PARAMS, p)))
         return ad.reduce_sum(ad.mul(out, pair_weights))
 
     cases = {

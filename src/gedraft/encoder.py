@@ -18,9 +18,17 @@ A batch of graphs is encoded in one pass: node features and adjacency are
 zero-padded to the batch's largest graph, and a node mask keeps the padded
 rows out of every readout. A padded row has no edges, so message passing
 never carries it into a real node.
+
+``init_encoder_params`` and ``encode_graphs`` take the model's
+``ModelConfig`` whole and check none of it again: ``ModelConfig`` is the
+one place the model's options are checked. The block-level ops
+``enhanced_layer`` and ``readout`` take plain arguments, so that the
+gradient check and the tests can call them on their own.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,8 +36,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import Graph
 
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelConfig
+
 READOUTS = ("mean", "max", "sum", "gca")
 LAYER_NORM_EPS = 1e-5
+# the parameters of encoder layer k, each named encoder.layer{k}.{name}
+LAYER_PARAMS = ("eps", "gin.W", "gin.b", "gin.ln.gain", "gin.ln.bias",
+                "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
@@ -58,21 +72,16 @@ def mlp(x, params: dict, prefix: str, depth: int) -> Tensor:
     return x
 
 
-def init_encoder_params(
-    rng: np.random.Generator, alphabet_size: int, hidden: int, layers: int, readout: str
-) -> dict:
-    if layers < 1:
-        raise ValueError(f"need layers >= 1, got {layers}")
-    if readout not in READOUTS:
-        raise ValueError(f"unknown readout {readout!r}")
+def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> dict:
+    alphabet, hidden = cfg.alphabet_size, cfg.hidden
     p: dict[str, Tensor] = {}
 
     def param(name, values):
         p[name] = Tensor(values, requires_grad=True)
 
-    param("encoder.proj.W", xavier_uniform(rng, alphabet_size, hidden, (alphabet_size, hidden)))
+    param("encoder.proj.W", xavier_uniform(rng, alphabet, hidden, (alphabet, hidden)))
     param("encoder.proj.b", np.zeros(hidden))
-    for k in range(1, layers + 1):
+    for k in range(1, cfg.layers + 1):
         pre = f"encoder.layer{k}"
         param(f"{pre}.eps", np.zeros(()))
         param(f"{pre}.gin.W", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
@@ -80,8 +89,8 @@ def init_encoder_params(
         param(f"{pre}.gin.ln.gain", np.ones(hidden))
         param(f"{pre}.gin.ln.bias", np.zeros(hidden))
         p.update(init_mlp(rng, (hidden, hidden, hidden), f"{pre}.ffn"))
-    if readout == "gca":
-        for k in range(layers + 1):
+    if cfg.readout == "gca":
+        for k in range(cfg.layers + 1):
             param(f"encoder.gca.W{k}", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
     return p
 
@@ -96,9 +105,7 @@ def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tenso
     relu) bit for bit: each expression is theirs, in their order.
     """
     x = ad.as_tensor(x)
-    names = ("eps", "gin.W", "gin.b", "gin.ln.gain", "gin.ln.bias",
-             "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")
-    p = [params[f"{prefix}.{name}"] for name in names]
+    p = [params[f"{prefix}.{name}"] for name in LAYER_PARAMS]
     eps, w, b, gain, bias, w1, b1, w2, b2 = (t.values for t in p)
     xv = x.values
     scale = eps + 1.0
@@ -210,22 +217,6 @@ def readout(x, kind: str, weight=None, mask=None) -> Tensor:
     raise ValueError(f"unknown readout {kind!r}")
 
 
-def _encode_stack(xs: Tensor, adjacency: np.ndarray, mask: np.ndarray, params, layers, readout_kind):
-    """Per-scale readouts for one padded batch of graphs."""
-    scales = []
-
-    def read(x, k):
-        w = params.get(f"encoder.gca.W{k}") if readout_kind == "gca" else None
-        return readout(x, readout_kind, w, mask)
-
-    x = ad.linear(xs, params["encoder.proj.W"], params["encoder.proj.b"])
-    scales.append(read(x, 0))
-    for k in range(1, layers + 1):
-        x = enhanced_layer(x, adjacency, params, f"encoder.layer{k}")
-        scales.append(read(x, k))
-    return scales
-
-
 def distinct_graphs(graphs: list[Graph]) -> tuple[list[Graph], list[int]]:
     """Distinct-id graphs in first-seen order, and each input's row among them."""
     rows: dict[str, int] = {}
@@ -258,19 +249,21 @@ def pad_batch(graphs: list[Graph], alphabet_size: int):
     return xs, adj, mask
 
 
-def encode_graphs(
-    graphs: list[Graph], params: dict, alphabet_size: int, layers: int, readout_kind: str
-) -> list[Tensor]:
+def encode_graphs(graphs: list[Graph], params: dict, cfg: ModelConfig) -> list[Tensor]:
     """Encode a batch of graphs; returns one (B, hidden) tensor per scale.
 
     Rows follow the input order. All graphs run as one batched pass over
     their ``pad_batch`` arrays.
     """
-    xs, adj, mask = pad_batch(graphs, alphabet_size)
-    return _encode_stack(Tensor(xs), adj, mask, params, layers, readout_kind)
+    xs, adjacency, mask = pad_batch(graphs, cfg.alphabet_size)
 
+    def read(x, k):
+        w = params.get(f"encoder.gca.W{k}") if cfg.readout == "gca" else None
+        return readout(x, cfg.readout, w, mask)
 
-def encode(g: Graph, params: dict, alphabet_size: int, layers: int, readout_kind: str):
-    """Multi-scale embedding of a single graph: K+1 vectors of width hidden."""
-    scales = encode_graphs([g], params, alphabet_size, layers, readout_kind)
-    return [ad.reshape(s, (s.shape[1],)) for s in scales]
+    x = ad.linear(Tensor(xs), params["encoder.proj.W"], params["encoder.proj.b"])
+    scales = [read(x, 0)]
+    for k in range(1, cfg.layers + 1):
+        x = enhanced_layer(x, adjacency, params, f"encoder.layer{k}")
+        scales.append(read(x, k))
+    return scales

@@ -8,11 +8,17 @@ gated fusion (efn), element-wise absolute/squared distance, and plain
 concatenation (none). Difference attention is one fused autodiff node
 (``diffatt_pair``), bit for bit the composed elementary ops; the other
 variants are composed.
+
+``init_fusion_params`` and ``fuse`` take the model's ``ModelConfig`` whole
+and check none of it again: ``ModelConfig`` is the one place the variant,
+the temperature, ``ntn_slices`` and ``efn_reduction`` are checked.
+``diffatt_pair`` takes its temperature as given, so that the gradient
+check and the tests can call the block on its own.
 """
 
 from __future__ import annotations
 
-import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,66 +26,41 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import init_mlp, mlp, xavier_uniform
 
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelConfig
+
 VARIANTS = ("diffatt", "ntn", "efn", "abs", "square", "none")
+# difference attention's parameters; fusion.log_t only with a learnable
+# temperature
+ATTENTION_PARAMS = ("fusion.log_t", "fusion.mlp.W1", "fusion.mlp.b1",
+                    "fusion.mlp.W2", "fusion.mlp.b2")
 
 
-def check_options(temperature="learnable", ntn_slices: int = 16, efn_reduction: int = 4) -> None:
-    """ValueError unless the temperature is "learnable" or finite and
-    positive, and ntn_slices and efn_reduction are at least 1."""
-    # a JSON integer can lie beyond the largest double, so no float() here
-    if temperature != "learnable" and not 0 < temperature <= sys.float_info.max:
-        raise ValueError(
-            f"temperature must be 'learnable' or finite and positive, got {temperature}"
-        )
-    if ntn_slices < 1 or efn_reduction < 1:
-        raise ValueError("ntn_slices and efn_reduction must be >= 1")
-
-
-def init_fusion_params(
-    rng: np.random.Generator,
-    variant: str,
-    hidden: int,
-    temperature="learnable",
-    ntn_slices: int = 16,
-    efn_reduction: int = 4,
-) -> dict:
-    check_options(temperature, ntn_slices, efn_reduction)
+def init_fusion_params(rng: np.random.Generator, cfg: ModelConfig) -> dict:
+    hidden = cfg.hidden
     p: dict[str, Tensor] = {}
 
     def param(name, values):
         p[name] = Tensor(values, requires_grad=True)
 
-    if variant == "diffatt":
+    if cfg.fusion == "diffatt":
         p.update(init_mlp(rng, (hidden, hidden, hidden), "fusion.mlp"))
-        if temperature == "learnable":
+        if cfg.temperature == "learnable":
             # t = exp(log_t) keeps the temperature positive; init t = 1
             param("fusion.log_t", np.zeros(()))
-    elif variant == "ntn":
-        for s in range(ntn_slices):
+    elif cfg.fusion == "ntn":
+        slices = cfg.ntn_slices
+        for s in range(slices):
             param(f"fusion.ntn.W{s}", xavier_uniform(rng, hidden, hidden, (hidden, hidden)))
-        param("fusion.ntn.V", xavier_uniform(rng, 2 * hidden, ntn_slices, (2 * hidden, ntn_slices)))
-        param("fusion.ntn.b", np.zeros(ntn_slices))
-    elif variant == "efn":
+        param("fusion.ntn.V", xavier_uniform(rng, 2 * hidden, slices, (2 * hidden, slices)))
+        param("fusion.ntn.b", np.zeros(slices))
+    elif cfg.fusion == "efn":
         wide = 2 * hidden
-        narrow = max(1, wide // efn_reduction)
+        narrow = max(1, wide // cfg.efn_reduction)
         param("fusion.efn.Wd", xavier_uniform(rng, wide, narrow, (wide, narrow)))
         param("fusion.efn.Wu", xavier_uniform(rng, narrow, wide, (narrow, wide)))
         p.update(init_mlp(rng, (wide, wide, wide), "fusion.efn.mlp"))
-    elif variant in ("abs", "square", "none"):
-        pass
-    else:
-        raise ValueError(f"unknown fusion variant {variant!r}")
     return p
-
-
-def per_scale_width(variant: str, hidden: int, ntn_slices: int = 16) -> int:
-    if variant in ("diffatt", "efn", "none"):
-        return 2 * hidden
-    if variant == "ntn":
-        return ntn_slices
-    if variant in ("abs", "square"):
-        return hidden
-    raise ValueError(f"unknown fusion variant {variant!r}")
 
 
 def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tensor, np.ndarray]:
@@ -91,13 +72,9 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
     ops (sub, abs, linear, relu, exp, mul, softmax, concat) bit for bit:
     each expression is theirs, in their order.
     """
-    check_options(temperature)
     h_i, h_j = ad.as_tensor(h_i), ad.as_tensor(h_j)
-    names = ["fusion.mlp.W1", "fusion.mlp.b1", "fusion.mlp.W2", "fusion.mlp.b2"]
     learnable = temperature == "learnable"
-    if learnable:
-        names.insert(0, "fusion.log_t")
-    p = [params[name] for name in names]
+    p = [params[name] for name in ATTENTION_PARAMS[0 if learnable else 1:]]
     w1, b1, w2, b2 = (t.values for t in p[-4:])
     hi, hj = h_i.values, h_j.values
     diff = hi - hj
@@ -144,28 +121,6 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
     return ad.fused(out, [h_j, h_i, *p, h_i, h_j], grads), alpha
 
 
-def diffatt(h_i, h_j, params: dict, temperature="learnable"):
-    """Difference attention: returns (u_i, u_j, alpha).
-
-    ``diffatt_pair``'s node split into its halves u_i and u_j, through
-    which gradients flow; alpha is a constant.
-    """
-    both, alpha = diffatt_pair(h_i, h_j, params, temperature)
-    h = alpha.shape[-1]
-    return _columns(both, 0, h), _columns(both, h, 2 * h), Tensor(alpha)
-
-
-def _columns(t: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start:stop of t's last axis, with t's gradient zero elsewhere."""
-
-    def grads(g):
-        full = np.zeros(t.shape)
-        full[..., start:stop] = g
-        return [full]
-
-    return ad.fused(t.values[..., start:stop], [t], grads)
-
-
 def ntn(h_i, h_j, params: dict, slices: int) -> Tensor:
     """Bilinear tensor fusion: tanh(h_i^T W^[1:S] h_j + V [h_i, h_j] + b)."""
     h_i, h_j = ad.as_tensor(h_i), ad.as_tensor(h_j)
@@ -191,30 +146,15 @@ def efn(h_i, h_j, params: dict) -> Tensor:
     return mlp(gated, params, "fusion.efn.mlp", 2)
 
 
-def distance_fusion(h_i, h_j, p: int) -> Tensor:
-    """Element-wise |h_i - h_j| ** p for p in {1, 2}."""
-    if p not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {p}")
-    diff = ad.sub(h_i, h_j)
-    return ad.absolute(diff) if p == 1 else ad.mul(diff, diff)
-
-
-def no_fusion(h_i, h_j) -> Tensor:
-    return ad.concat([ad.as_tensor(h_i), ad.as_tensor(h_j)], axis=-1)
-
-
-def fuse(variant: str, h_i, h_j, params: dict, *, temperature="learnable", ntn_slices: int = 16) -> Tensor:
-    """Per-scale fused vector for the given variant."""
-    if variant == "diffatt":
-        return diffatt_pair(h_i, h_j, params, temperature)[0]
-    if variant == "ntn":
-        return ntn(h_i, h_j, params, ntn_slices)
-    if variant == "efn":
+def fuse(h_i, h_j, params: dict, cfg: ModelConfig) -> Tensor:
+    """Per-scale fused vector of ``cfg.fusion``."""
+    if cfg.fusion == "diffatt":
+        return diffatt_pair(h_i, h_j, params, cfg.temperature)[0]
+    if cfg.fusion == "ntn":
+        return ntn(h_i, h_j, params, cfg.ntn_slices)
+    if cfg.fusion == "efn":
         return efn(h_i, h_j, params)
-    if variant == "abs":
-        return distance_fusion(h_i, h_j, 1)
-    if variant == "square":
-        return distance_fusion(h_i, h_j, 2)
-    if variant == "none":
-        return no_fusion(h_i, h_j)
-    raise ValueError(f"unknown fusion variant {variant!r}")
+    if cfg.fusion == "none":
+        return ad.concat([ad.as_tensor(h_i), ad.as_tensor(h_j)], axis=-1)
+    diff = ad.sub(h_i, h_j)  # abs or square: |h_i - h_j| ** p, p = 1 or 2
+    return ad.absolute(diff) if cfg.fusion == "abs" else ad.mul(diff, diff)

@@ -167,13 +167,11 @@ def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
         e2_rem = e2_total - e2_used
         return node_bound + abs(e1_rem - e2_rem)
 
-    # label counts of used g2 nodes, keyed per state: recomputed on pop
-    _used_label_counts = [0] * alphabet_size
-
     def completion_cost(used_mask, e2_used):
         return (n2 - _popcount(used_mask)) + (e2_total - e2_used)
 
     empty = ()
+    # label counts of used g2 nodes, keyed per state: recomputed on pop
     _used_label_counts = [0] * alphabet_size
     h0 = heuristic(0, 0, 0)
     heap = [(h0, 0, empty)]

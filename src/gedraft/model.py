@@ -1,5 +1,10 @@
 """Model assembly: encoder -> per-scale fusion -> MLP regressor.
 
+``ModelConfig`` holds every option of the model, and its ``__post_init__``
+is the one place they are checked. The encoder and the fusion stage take
+the config whole (``init_encoder_params``, ``init_fusion_params``,
+``encode_graphs``, ``fuse``) and check none of it again.
+
 The predicted similarity is an unclamped scalar (no output sigmoid);
 training and evaluation consume raw predictions.
 
@@ -11,6 +16,7 @@ round-trip restores every parameter bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 import typing
 from dataclasses import asdict, dataclass
 
@@ -47,11 +53,23 @@ class ModelConfig:
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.fusion not in fus.VARIANTS:
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
-        fus.check_options(self.temperature, self.ntn_slices, self.efn_reduction)
+        # a JSON integer can lie beyond the largest double, so no float() here
+        if self.temperature != "learnable" and not 0 < self.temperature <= sys.float_info.max:
+            raise ValueError(
+                f"temperature must be 'learnable' or finite and positive, got {self.temperature}"
+            )
+        if self.ntn_slices < 1 or self.efn_reduction < 1:
+            raise ValueError("ntn_slices and efn_reduction must be >= 1")
 
     @property
     def fused_dim(self) -> int:
-        per_scale = fus.per_scale_width(self.fusion, self.hidden, self.ntn_slices)
+        """Width of the regressor's input: one fused vector per scale 0..layers."""
+        if self.fusion == "ntn":
+            per_scale = self.ntn_slices
+        elif self.fusion in ("abs", "square"):
+            per_scale = self.hidden
+        else:  # diffatt, efn and none keep both halves of the pair
+            per_scale = 2 * self.hidden
         return (self.layers + 1) * per_scale
 
     @property
@@ -86,12 +104,8 @@ class ModelConfig:
 
 def init_params(cfg: ModelConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    params = enc.init_encoder_params(rng, cfg.alphabet_size, cfg.hidden, cfg.layers, cfg.readout)
-    params.update(
-        fus.init_fusion_params(
-            rng, cfg.fusion, cfg.hidden, cfg.temperature, cfg.ntn_slices, cfg.efn_reduction
-        )
-    )
+    params = enc.init_encoder_params(rng, cfg)
+    params.update(fus.init_fusion_params(rng, cfg))
     params.update(enc.init_mlp(rng, (cfg.fused_dim, *cfg.regressor_widths, 1), "regressor"))
     return params
 
@@ -103,17 +117,7 @@ def regress(fused: Tensor, params: dict) -> Tensor:
 
 
 def fused_pair_embedding(scales_i, scales_j, params: dict, cfg: ModelConfig) -> Tensor:
-    fused = [
-        fus.fuse(
-            cfg.fusion,
-            h_i,
-            h_j,
-            params,
-            temperature=cfg.temperature,
-            ntn_slices=cfg.ntn_slices,
-        )
-        for h_i, h_j in zip(scales_i, scales_j)
-    ]
+    fused = [fus.fuse(h_i, h_j, params, cfg) for h_i, h_j in zip(scales_i, scales_j)]
     return ad.concat(fused, axis=-1)
 
 
@@ -123,7 +127,7 @@ def forward_pairs(pairs: list[tuple[Graph, Graph]], params: dict, cfg: ModelConf
     Each distinct graph in the batch is encoded once.
     """
     graphs, rows = enc.distinct_graphs([g for pair in pairs for g in pair])
-    scales = enc.encode_graphs(graphs, params, cfg.alphabet_size, cfg.layers, cfg.readout)
+    scales = enc.encode_graphs(graphs, params, cfg)
     scales_i = [ad.index_rows(s, rows[0::2]) for s in scales]
     scales_j = [ad.index_rows(s, rows[1::2]) for s in scales]
     fused = fused_pair_embedding(scales_i, scales_j, params, cfg)

@@ -25,7 +25,7 @@ from .graphs import (
     remaining_subgraph,
 )
 from .metrics import evaluate, spearman_checked
-from .model import ModelConfig, frozen, fused_pair_embedding, params_equal
+from .model import ModelConfig, copy_params, frozen, fused_pair_embedding, params_equal
 from .optim import Adam
 from .rng import SplitMix64
 
@@ -89,7 +89,7 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     idx_sub = list(range(len(glist), len(glist) + len(subs)))
     idx_rem = [i + len(subs) for i in idx_sub]
     glist += subs + rems
-    scales = encode_graphs(glist, params, cfg.alphabet_size, cfg.layers, cfg.readout)
+    scales = encode_graphs(glist, params, cfg)
     scales_i = [ad.index_rows(s, idx_base) for s in scales]
     scales_j = [ad.index_rows(s, idx_sub) for s in scales]
     fused = fused_pair_embedding(scales_i, scales_j, params, cfg)
@@ -195,7 +195,7 @@ def resat_compare(
         raise ValueError("no variants to compare")
     rows = []
     for name, (params, cfg) in variants.items():
-        before_snapshot = {k: t.values.copy() for k, t in params.items()}
+        before = copy_params(params)
         emb = probe_embeddings(params, cfg, triples)
         gsc = evaluate(params, cfg, dataset, ks=()).mse_e3
         after = float(
@@ -218,8 +218,7 @@ def resat_compare(
                     ]
                 )
             )
-        snapshot = {k: Tensor(v) for k, v in before_snapshot.items()}
-        if not params_equal(snapshot, params):
+        if not params_equal(before, params):
             raise RuntimeError(f"probing mutated parameters of variant {name!r}")
         rows.append(row)
     if len(rows) >= 2:

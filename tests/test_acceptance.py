@@ -23,7 +23,7 @@ import pytest
 from gedraft import cli
 from gedraft.autodiff import Tensor
 from gedraft.dataset import dataset_to_json
-from gedraft.fusion import diffatt, init_fusion_params
+from gedraft.fusion import diffatt_pair, init_fusion_params
 from gedraft.ged import ged_bruteforce, ged_exact
 from gedraft.graphs import generate_er, permute, random_walk_subgraph
 from gedraft.metrics import average_ranks, kendall, spearman, spearman_checked
@@ -218,21 +218,27 @@ def test_criterion_5_attention_contracts():
     hidden = 12
     h_i = Tensor(rng.normal(size=(16, hidden)))
     h_j = Tensor(rng.normal(size=(16, hidden)))
-    p = init_fusion_params(np.random.default_rng(0), "diffatt", hidden)
-    u_i, u_j, alpha = diffatt(h_i, h_j, p)
-    sums_ok = np.abs(alpha.values.sum(axis=-1) - 1.0).max() <= 1e-12
-    positive = bool((alpha.values > 0).all())
-    v_j, v_i, alpha_sw = diffatt(h_j, h_i, p)
+
+    def attention(a, b, temperature="learnable"):
+        """(u_a, u_b, alpha) of a diffatt model with this temperature."""
+        cfg = ModelConfig(alphabet_size=3, hidden=hidden, fusion="diffatt", temperature=temperature)
+        p = init_fusion_params(np.random.default_rng(0), cfg)
+        both, alpha = diffatt_pair(a, b, p, cfg.temperature)
+        return both.values[:, :hidden], both.values[:, hidden:], alpha
+
+    u_i, u_j, alpha = attention(h_i, h_j)
+    sums_ok = np.abs(alpha.sum(axis=-1) - 1.0).max() <= 1e-12
+    positive = bool((alpha > 0).all())
+    v_j, v_i, alpha_sw = attention(h_j, h_i)
     swap_ok = (
-        np.array_equal(alpha.values, alpha_sw.values)
-        and np.array_equal(u_i.values, v_i.values)
-        and np.array_equal(u_j.values, v_j.values)
+        np.array_equal(alpha, alpha_sw)
+        and np.array_equal(u_i, v_i)
+        and np.array_equal(u_j, v_j)
     )
-    w_i, w_j, _ = diffatt(h_i, h_i, p)
-    identical_ok = np.array_equal(w_i.values, w_j.values)
-    p_hot = init_fusion_params(np.random.default_rng(0), "diffatt", hidden, temperature=1e6)
-    _, _, flat = diffatt(h_i, h_j, p_hot, temperature=1e6)
-    flat_ok = np.abs(flat.values - 1.0 / hidden).max() <= 1e-6
+    w_i, w_j, _ = attention(h_i, h_i)
+    identical_ok = np.array_equal(w_i, w_j)
+    _, _, flat = attention(h_i, h_j, temperature=1e6)
+    flat_ok = np.abs(flat - 1.0 / hidden).max() <= 1e-6
     ok = sums_ok and positive and swap_ok and identical_ok and flat_ok
     report(5, "attention contracts", ok,
            f"sum={sums_ok} pos={positive} swap={swap_ok} identical={identical_ok} flat={flat_ok}")

@@ -9,7 +9,6 @@ from gedraft import autodiff as ad
 from gedraft.autodiff import Tensor
 from gedraft.encoder import (
     READOUTS,
-    encode,
     encode_graphs,
     enhanced_layer,
     init_encoder_params,
@@ -17,13 +16,18 @@ from gedraft.encoder import (
     readout,
 )
 from gedraft.graphs import SplitMix64, generate_er, permute
+from gedraft.model import ModelConfig
 
 SIGMOID_TANH_1 = 0.6816997421945262  # sigmoid(tanh(1)), hand-derived
 
 
+def config(readout_kind="gca", hidden=8, layers=2, alphabet=3):
+    return ModelConfig(alphabet_size=alphabet, hidden=hidden, layers=layers, readout=readout_kind)
+
+
 def make_params(readout_kind="gca", hidden=8, layers=2, alphabet=3, seed=0):
     rng = np.random.default_rng(seed)
-    return init_encoder_params(rng, alphabet, hidden, layers, readout_kind)
+    return init_encoder_params(rng, config(readout_kind, hidden, layers, alphabet))
 
 
 def test_param_names_and_shapes():
@@ -37,11 +41,11 @@ def test_param_names_and_shapes():
 
 
 def test_init_rejects_bad_args():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        init_encoder_params(rng, 3, 8, 0, "mean")
-    with pytest.raises(ValueError):
-        init_encoder_params(rng, 3, 8, 2, "nope")
+    # the config the encoder takes refuses them before a draw
+    with pytest.raises(ValueError, match="layers"):
+        make_params("mean", layers=0)
+    with pytest.raises(ValueError, match="readout"):
+        make_params("nope")
 
 
 def test_gin_aggregate_example():
@@ -92,8 +96,8 @@ def test_permutation_invariance(kind):
         g = generate_er(4 + trial % 4, 0.5, 3, seed=trial, gid="g")
         pi = list(range(g.n))
         rng.shuffle(pi)
-        a = encode(g, params, 3, 2, kind)
-        b = encode(permute(g, pi), params, 3, 2, kind)
+        a = encode_graphs([g], params, config(kind))
+        b = encode_graphs([permute(g, pi)], params, config(kind))
         for sa, sb in zip(a, b):
             assert np.allclose(sa.values, sb.values, rtol=1e-8, atol=1e-10)
 
@@ -102,32 +106,32 @@ def test_permutation_invariance(kind):
 def test_batched_encoding_matches_single(kind):
     params = make_params(kind)
     graphs = [generate_er(3 + t % 4, 0.5, 3, seed=50 + t, gid=f"g{t}") for t in range(9)]
-    batched = encode_graphs(graphs, params, 3, 2, kind)
+    batched = encode_graphs(graphs, params, config(kind))
     for i, g in enumerate(graphs):
-        single = encode(g, params, 3, 2, kind)
+        single = encode_graphs([g], params, config(kind))
         for k in range(3):
-            assert np.allclose(batched[k].values[i], single[k].values, atol=1e-12)
+            assert np.allclose(batched[k].values[i], single[k].values[0], atol=1e-12)
 
 
 def test_scale_count():
     params = make_params("mean", layers=3)
     g = generate_er(5, 0.5, 3, seed=1, gid="g")
-    scales = encode(g, params, 3, 3, "mean")
+    scales = encode_graphs([g], params, config("mean", layers=3))
     assert len(scales) == 4
-    assert all(s.shape == (8,) for s in scales)
+    assert all(s.shape == (1, 8) for s in scales)
 
 
 def test_label_outside_alphabet_rejected():
     params = make_params("mean")
     g = generate_er(4, 0.5, 3, seed=1, gid="g")
     with pytest.raises(ValueError):
-        encode_graphs([g], params, 2, 2, "mean")
+        encode_graphs([g], params, config("mean", alphabet=2))
 
 
 def test_gradients_flow_to_all_encoder_params():
     params = make_params("gca")
     graphs = [generate_er(4 + t, 0.5, 3, seed=t, gid=f"g{t}") for t in range(3)]
-    scales = encode_graphs(graphs, params, 3, 2, "gca")
+    scales = encode_graphs(graphs, params, config("gca"))
     loss = ad.reduce_sum(ad.concat(scales, axis=-1))
     ad.backward(loss)
     for name, t in params.items():
@@ -139,9 +143,9 @@ def test_padding_leaves_a_graph_encoding_unchanged(kind):
     params = make_params(kind)
     small = generate_er(3, 0.6, 3, seed=7, gid="small")
     large = generate_er(7, 0.5, 3, seed=8, gid="large")
-    alone = encode_graphs([small], params, 3, 2, kind)
+    alone = encode_graphs([small], params, config(kind))
     for batch, row in (([small, large], 0), ([large, small], 1)):
-        padded = encode_graphs(batch, params, 3, 2, kind)
+        padded = encode_graphs(batch, params, config(kind))
         for s_alone, s_padded in zip(alone, padded):
             assert np.allclose(s_padded.values[row], s_alone.values[0], rtol=0, atol=1e-12)
 
@@ -167,7 +171,7 @@ def test_mixed_size_batch_gradients_are_sums_of_per_graph_gradients(kind):
     def grads(batch, rows):
         for t in params.values():
             t.zero_grad()
-        scales = encode_graphs(batch, params, 3, 2, kind)
+        scales = encode_graphs(batch, params, config(kind))
         terms = [ad.mul(s, Tensor(weights[rows, k])) for k, s in enumerate(scales)]
         ad.backward(ad.reduce_sum(ad.concat(terms, axis=-1)))
         return {name: t.grad for name, t in params.items()}
@@ -223,7 +227,7 @@ def test_fused_encoder_matches_composed_bit_for_bit(kind):
     for blocks in (contextlib.nullcontext, composed.composed_model):
         params = make_params(kind, layers=3)
         with blocks():
-            scales = encode_graphs(graphs, params, 3, 3, kind)
+            scales = encode_graphs(graphs, params, config(kind, layers=3))
             out = ad.concat(scales, axis=-1)
             ad.backward(ad.reduce_sum(ad.mul(ad.tanh(out), Tensor(np.ones(out.shape) / 3))))
         results.append([out.values.tobytes()] + [params[n].grad.tobytes() for n in sorted(params)])

@@ -1,18 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import composed
 from gedraft import autodiff as ad
 from gedraft.autodiff import Tensor
-from gedraft.fusion import (
-    VARIANTS,
-    diffatt,
-    diffatt_pair,
-    fuse,
-    init_fusion_params,
-    no_fusion,
-    per_scale_width,
-)
+from gedraft.fusion import VARIANTS, diffatt_pair, fuse, init_fusion_params
+from gedraft.model import ModelConfig
 
 SOFTMAX_1_0 = (0.7310585786300049, 0.2689414213699951)  # softmax([1, 0])
 
@@ -25,17 +20,27 @@ def make_inputs(hidden=6, batch=4, seed=0):
     )
 
 
-def params_for(variant, hidden=6, temperature="learnable", seed=0):
-    return init_fusion_params(
-        np.random.default_rng(seed), variant, hidden, temperature, ntn_slices=3, efn_reduction=2
-    )
+def config(variant, hidden=6, temperature="learnable", ntn_slices=3, efn_reduction=2):
+    return ModelConfig(alphabet_size=3, hidden=hidden, fusion=variant, temperature=temperature,
+                       ntn_slices=ntn_slices, efn_reduction=efn_reduction)
+
+
+def params_for(variant, hidden=6, temperature="learnable", seed=0, **options):
+    cfg = config(variant, hidden, temperature, **options)
+    return init_fusion_params(np.random.default_rng(seed), cfg)
+
+
+def diffatt(h_i, h_j, params, temperature="learnable"):
+    """(u_i, u_j, alpha): diffatt_pair's node cut into its two halves."""
+    both, alpha = diffatt_pair(h_i, h_j, params, temperature)
+    h = alpha.shape[-1]
+    return both.values[..., :h], both.values[..., h:], alpha
 
 
 def test_alpha_is_a_distribution():
     h_i, h_j = make_inputs()
     p = params_for("diffatt")
-    _, _, alpha = diffatt(h_i, h_j, p)
-    a = alpha.values
+    _, _, a = diffatt(h_i, h_j, p)
     assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12)
     assert (a > 0).all()
 
@@ -45,23 +50,23 @@ def test_alpha_swap_invariant_exactly():
     p = params_for("diffatt")
     u_i, u_j, alpha = diffatt(h_i, h_j, p)
     v_j, v_i, alpha_swapped = diffatt(h_j, h_i, p)
-    assert np.array_equal(alpha.values, alpha_swapped.values)
-    assert np.array_equal(u_i.values, v_i.values)
-    assert np.array_equal(u_j.values, v_j.values)
+    assert np.array_equal(alpha, alpha_swapped)
+    assert np.array_equal(u_i, v_i)
+    assert np.array_equal(u_j, v_j)
 
 
 def test_identical_inputs_give_equal_outputs():
     h, _ = make_inputs()
     p = params_for("diffatt")
     u_i, u_j, _ = diffatt(h, h, p)
-    assert np.array_equal(u_i.values, u_j.values)
+    assert np.array_equal(u_i, u_j)
 
 
 def test_huge_temperature_gives_uniform_alpha():
     h_i, h_j = make_inputs()
     p = params_for("diffatt", temperature=1e6)
     _, _, alpha = diffatt(h_i, h_j, p, temperature=1e6)
-    assert np.allclose(alpha.values, 1.0 / h_i.shape[-1], atol=1e-6)
+    assert np.allclose(alpha, 1.0 / h_i.shape[-1], atol=1e-6)
 
 
 def test_softmax_worked_example():
@@ -75,8 +80,8 @@ def test_softmax_worked_example():
     h_i = Tensor(np.array([[2.0, 1.0]]))
     h_j = Tensor(np.array([[1.0, 1.0]]))
     _, _, alpha = diffatt(h_i, h_j, p, temperature=1.0)
-    assert alpha.values[0, 0] == pytest.approx(SOFTMAX_1_0[0], abs=1e-15)
-    assert alpha.values[0, 1] == pytest.approx(SOFTMAX_1_0[1], abs=1e-15)
+    assert alpha[0, 0] == pytest.approx(SOFTMAX_1_0[0], abs=1e-15)
+    assert alpha[0, 1] == pytest.approx(SOFTMAX_1_0[1], abs=1e-15)
 
 
 def test_learnable_temperature_matches_fixed_at_init():
@@ -85,14 +90,14 @@ def test_learnable_temperature_matches_fixed_at_init():
     p = params_for("diffatt")
     _, _, learnable = diffatt(h_i, h_j, p, "learnable")
     _, _, fixed = diffatt(h_i, h_j, p, 1.0)
-    assert np.allclose(learnable.values, fixed.values, atol=1e-15)
+    assert np.allclose(learnable, fixed, atol=1e-15)
 
 
 def test_temperature_gradient_flows():
     h_i, h_j = make_inputs()
     p = params_for("diffatt")
-    u_i, _, _ = diffatt(h_i, h_j, p, "learnable")
-    ad.backward(ad.reduce_sum(ad.mul(u_i, u_i)))
+    both, _ = diffatt_pair(h_i, h_j, p, "learnable")
+    ad.backward(ad.reduce_sum(ad.mul(both, both)))
     assert p["fusion.log_t"].grad is not None
 
 
@@ -100,47 +105,42 @@ def test_temperature_gradient_flows():
 def test_fused_width(variant):
     hidden = 6
     h_i, h_j = make_inputs(hidden)
-    p = params_for(variant, hidden)
-    out = fuse(variant, h_i, h_j, p, ntn_slices=3)
-    assert out.shape == (4, per_scale_width(variant, hidden, 3))
+    cfg = config(variant, hidden)
+    out = fuse(h_i, h_j, params_for(variant, hidden), cfg)
+    assert out.shape == (4, cfg.fused_dim // (cfg.layers + 1))
 
 
 def test_abs_square_fusion_values():
     h_i = Tensor(np.array([[1.0, -2.0]]))
     h_j = Tensor(np.array([[3.0, 1.0]]))
-    assert np.array_equal(fuse("abs", h_i, h_j, {}).values, [[2.0, 3.0]])
-    assert np.array_equal(fuse("square", h_i, h_j, {}).values, [[4.0, 9.0]])
+    assert np.array_equal(fuse(h_i, h_j, {}, config("abs", hidden=2)).values, [[2.0, 3.0]])
+    assert np.array_equal(fuse(h_i, h_j, {}, config("square", hidden=2)).values, [[4.0, 9.0]])
 
 
 def test_none_fusion_is_concat():
     h_i, h_j = make_inputs()
-    out = no_fusion(h_i, h_j).values
+    out = fuse(h_i, h_j, {}, config("none")).values
     assert np.array_equal(out, np.concatenate([h_i.values, h_j.values], axis=-1))
 
 
 def test_ntn_symmetric_ranges():
     h_i, h_j = make_inputs()
     p = params_for("ntn")
-    out = fuse("ntn", h_i, h_j, p, ntn_slices=3).values
+    out = fuse(h_i, h_j, p, config("ntn")).values
     assert (np.abs(out) <= 1.0).all()  # tanh output
 
 
 def test_unknown_variant_rejected():
-    h_i, h_j = make_inputs()
-    with pytest.raises(ValueError):
-        fuse("bilinear", h_i, h_j, {})
-    with pytest.raises(ValueError):
-        init_fusion_params(np.random.default_rng(0), "bilinear", 4)
+    # by the config that init_fusion_params and fuse take
+    with pytest.raises(ValueError, match="bilinear"):
+        params_for("bilinear")
 
 
 def test_distance_symmetry():
     h_i, h_j = make_inputs()
-    assert np.array_equal(
-        fuse("abs", h_i, h_j, {}).values, fuse("abs", h_j, h_i, {}).values
-    )
-    assert np.array_equal(
-        fuse("square", h_i, h_j, {}).values, fuse("square", h_j, h_i, {}).values
-    )
+    for variant in ("abs", "square"):
+        cfg = config(variant)
+        assert np.array_equal(fuse(h_i, h_j, {}, cfg).values, fuse(h_j, h_i, {}, cfg).values)
 
 
 @pytest.mark.parametrize("temperature", ["learnable", 0.5])
@@ -163,21 +163,25 @@ def test_fused_diffatt_matches_composed_bit_for_bit(temperature):
 
 
 def test_diffatt_halves_are_the_fused_node():
+    # the node's halves are alpha * h_i and alpha * h_j, as composed
     h_i, h_j = make_inputs()
     p = params_for("diffatt")
     u_i, u_j, alpha = diffatt(h_i, h_j, p)
     both, alpha_ref = composed.diffatt_pair(h_i, h_j, p)
-    assert np.concatenate([u_i.values, u_j.values], axis=-1).tobytes() == both.values.tobytes()
-    assert alpha.values.tobytes() == alpha_ref.tobytes()
+    assert np.concatenate([u_i, u_j], axis=-1).tobytes() == both.values.tobytes()
+    assert alpha.tobytes() == alpha_ref.tobytes()
+    assert u_i.tobytes() == (alpha * h_i.values).tobytes()
+    assert u_j.tobytes() == (alpha * h_j.values).tobytes()
 
 
 @pytest.mark.parametrize("temperature", [float("inf"), 10**400, 0.0, -1.0])
 def test_init_and_diffatt_reject_a_temperature_out_of_range(temperature):
+    # by the config that init_fusion_params and fuse take: it refuses the
+    # value when built, and again when a valid one is copied with it
     with pytest.raises(ValueError, match="temperature"):
         params_for("diffatt", temperature=temperature)
-    h_i, h_j = make_inputs()
     with pytest.raises(ValueError, match="temperature"):
-        diffatt(h_i, h_j, params_for("diffatt", temperature=1.0), temperature)
+        dataclasses.replace(config("diffatt", temperature=1.0), temperature=temperature)
 
 
 def test_init_accepts_a_large_finite_temperature():
@@ -187,5 +191,4 @@ def test_init_accepts_a_large_finite_temperature():
 @pytest.mark.parametrize("slices, reduction", [(0, 2), (3, 0)])
 def test_init_rejects_fewer_than_one_slice_or_reduction(slices, reduction):
     with pytest.raises(ValueError, match="ntn_slices"):
-        init_fusion_params(np.random.default_rng(0), "ntn", 4, ntn_slices=slices,
-                           efn_reduction=reduction)
+        params_for("ntn", ntn_slices=slices, efn_reduction=reduction)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 
 import numpy as np
@@ -28,15 +29,24 @@ def some_graphs(count, seed0=0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(alphabet_size=0)
-    with pytest.raises(ValueError):
+    # ModelConfig is the one check of the model's options: the encoder and
+    # fusion inits, encode_graphs and fuse take it as given
+    for bad in (dict(alphabet_size=0), dict(hidden=0), dict(layers=0)):
+        with pytest.raises(ValueError, match=">= 1"):
+            ModelConfig(**{"alphabet_size": 3, **bad})
+    with pytest.raises(ValueError, match="seed"):
+        ModelConfig(alphabet_size=3, seed=-1)
+    with pytest.raises(ValueError, match="readout"):
         ModelConfig(alphabet_size=3, readout="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fusion"):
         ModelConfig(alphabet_size=3, fusion="nope")
     for temperature in (-1.0, 0.0, float("inf"), float("nan"), 10**400):
         with pytest.raises(ValueError, match="temperature"):
             ModelConfig(alphabet_size=3, temperature=temperature)
+    for bad in (dict(ntn_slices=0), dict(efn_reduction=0)):
+        with pytest.raises(ValueError, match="ntn_slices and efn_reduction"):
+            ModelConfig(alphabet_size=3, fusion="ntn", **bad)
+    assert ModelConfig(alphabet_size=3, temperature=1e6).temperature == 1e6
 
 
 @pytest.mark.parametrize("temperature", ["learnable", 0.5])
@@ -74,6 +84,51 @@ def test_init_params_deterministic():
     assert params_equal(init_params(CFG), init_params(CFG))
     other = ModelConfig(**{**CFG.to_json(), "seed": 1})
     assert not params_equal(init_params(CFG), init_params(other))
+
+
+# sha256 over each parameter's name, shape and value bytes, in the order
+# init_params makes them, for hidden 6, 2 layers, alphabet 3, 3 ntn slices,
+# efn reduction 2 and seed 7. They pin the RNG draw order and the names.
+INIT_DIGESTS = {
+    ("diffatt", "mean", "learnable"): "3ee4b57db1bca3a6ce8792d96b9d911a5463e63c1f4afc1f9650022eebcf02b5",
+    ("diffatt", "max", "learnable"): "3ee4b57db1bca3a6ce8792d96b9d911a5463e63c1f4afc1f9650022eebcf02b5",
+    ("diffatt", "sum", "learnable"): "3ee4b57db1bca3a6ce8792d96b9d911a5463e63c1f4afc1f9650022eebcf02b5",
+    ("diffatt", "gca", "learnable"): "bf9f79ddc2d4ffdd33fb4850f5ef4bc6b832df623cafc2c86936d894dcb0b85b",
+    ("ntn", "mean", "learnable"): "831e91827a1ef029ad6d958305c21995be0062bd956c64dcc3ecab4cef4e068c",
+    ("ntn", "max", "learnable"): "831e91827a1ef029ad6d958305c21995be0062bd956c64dcc3ecab4cef4e068c",
+    ("ntn", "sum", "learnable"): "831e91827a1ef029ad6d958305c21995be0062bd956c64dcc3ecab4cef4e068c",
+    ("ntn", "gca", "learnable"): "b311ee0254c513e3ef04ae5cc6672fa9f52d2b1c80ba3b2bda84e8b34fbec9ec",
+    ("efn", "mean", "learnable"): "74b9c66ba02be763aed7df57b60c321c1fd879a8e5f8a71d5d9ea440b921ccb8",
+    ("efn", "max", "learnable"): "74b9c66ba02be763aed7df57b60c321c1fd879a8e5f8a71d5d9ea440b921ccb8",
+    ("efn", "sum", "learnable"): "74b9c66ba02be763aed7df57b60c321c1fd879a8e5f8a71d5d9ea440b921ccb8",
+    ("efn", "gca", "learnable"): "92a7ca73ce6e02fa57c0247c222f4f01f75d0ca6b7a58f53a0961c168ed7ebfa",
+    ("abs", "mean", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("abs", "max", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("abs", "sum", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("abs", "gca", "learnable"): "667e06b6ac44369224121a639fb5979a7801ac38991c651e9886168833cba23a",
+    ("square", "mean", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("square", "max", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("square", "sum", "learnable"): "1d21e366b262d7a59afb1156f5f094ce525874da29b29b7a33b246ad0701ef50",
+    ("square", "gca", "learnable"): "667e06b6ac44369224121a639fb5979a7801ac38991c651e9886168833cba23a",
+    ("none", "mean", "learnable"): "be6099ffe0f2825e02461b0c5f105e8f9d7021f8aa9a437cbdf0fb4bf1bb2540",
+    ("none", "max", "learnable"): "be6099ffe0f2825e02461b0c5f105e8f9d7021f8aa9a437cbdf0fb4bf1bb2540",
+    ("none", "sum", "learnable"): "be6099ffe0f2825e02461b0c5f105e8f9d7021f8aa9a437cbdf0fb4bf1bb2540",
+    ("none", "gca", "learnable"): "dd746b55edaf8e8d92ea45238c8f9ae68b39cf74139d26b7c027145b1e850f71",
+    ("diffatt", "mean", 0.5): "9737db58795b7c908d409622727b0b10fdd8bcd50e31c3c24973daf1b355aef0",
+    ("diffatt", "max", 0.5): "9737db58795b7c908d409622727b0b10fdd8bcd50e31c3c24973daf1b355aef0",
+    ("diffatt", "sum", 0.5): "9737db58795b7c908d409622727b0b10fdd8bcd50e31c3c24973daf1b355aef0",
+    ("diffatt", "gca", 0.5): "40da96beda43b077bf311aa332c5e40afe9106ae7775be0bf0b227c89c8a7a95",
+}
+
+
+@pytest.mark.parametrize("fusion, readout, temperature", sorted(INIT_DIGESTS, key=str))
+def test_init_params_digest_is_pinned(fusion, readout, temperature):
+    cfg = ModelConfig(alphabet_size=3, hidden=6, layers=2, readout=readout, fusion=fusion,
+                      temperature=temperature, ntn_slices=3, efn_reduction=2, seed=7)
+    h = hashlib.sha256()
+    for name, t in init_params(cfg).items():
+        h.update(name.encode() + b"\0" + repr(t.values.shape).encode() + b"\0" + t.values.tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[fusion, readout, temperature]
 
 
 def test_forward_deterministic_and_batched_consistent():

@@ -132,6 +132,23 @@ def test_resat_compare_diffatt_has_before_row(tiny_dataset):
     assert row["resat_mse"] >= 0 and row["resat_mse_before"] >= 0
 
 
+def test_resat_compare_refuses_a_probe_that_mutates_parameters(tiny_dataset, monkeypatch):
+    from gedraft import resat
+
+    triples, _ = build_resat_dataset(tiny_dataset.graphs[:6], per_graph=3, seed=0)
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=1, readout="mean", fusion="abs", seed=0)
+    params = init_params(cfg)
+    embed = resat.probe_embeddings
+
+    def mutating(params, cfg, triples):
+        params["encoder.proj.b"].values[0] += 1.0
+        return embed(params, cfg, triples)
+
+    monkeypatch.setattr(resat, "probe_embeddings", mutating)
+    with pytest.raises(RuntimeError, match="mutated parameters of variant 'abs'"):
+        resat_compare({"abs": (params, cfg)}, tiny_dataset, triples, probe_epochs=1)
+
+
 def test_resat_compare_rejects_empty():
     with pytest.raises(ValueError):
         resat_compare({}, None, [])
