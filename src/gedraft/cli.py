@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen, ged, train, eval, resat, gradcheck. Exit codes: 0 on
-success, 2 on usage errors, 3 on numeric failure (gradient check above
-tolerance, edit-distance budget exhausted).
+success, 2 on usage errors (a bad flag value, config, dataset or checkpoint,
+or a file that cannot be read or written), 3 on numeric failure (gradient
+check above tolerance, edit-distance budget exhausted).
 """
 
 from __future__ import annotations
@@ -15,19 +16,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ConfigError, load_config, parse_temperature
-from .dataset import DatasetFormatError, read_dataset, write_dataset
+from .dataset import read_dataset, write_dataset
 from .encoder import LAYER_PARAMS, READOUTS, enhanced_layer, readout
 from .fusion import ATTENTION_PARAMS, VARIANTS, diffatt_pair
 from .ged import BACKEND, DEFAULT_BUDGET, GedBudgetExceeded, ged_exact
 from .graphs import Graph, require_valid
 from .metrics import evaluate
-from .model import (
-    CheckpointError,
-    ModelConfig,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .optim import BACKEND as ADAM_BACKEND, grad_check
 from .resat import build_resat_dataset, resat_compare
 from .synth import build_dataset
@@ -142,7 +137,7 @@ def _load_model(path, dataset):
 def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     params, cfg = _load_model(args.checkpoint, dataset)
-    report = evaluate(params, cfg, dataset, ks=tuple(args.k))
+    report = evaluate(params, cfg, dataset, ks=tuple(args.k or (10, 20)))
     doc = {
         "resolved_config": {"model": cfg.to_json(), "dataset": args.dataset},
         "metrics": report.to_json(),
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dataset", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--out")
-    e.add_argument("--k", type=int, action="append", default=None)
+    e.add_argument("--k", type=int, action="append", help="P@k cutoff, repeatable (default 10 and 20)")
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("resat", help="remaining-subgraph alignment comparison")
@@ -357,17 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "k", "absent") is None:
-        args.k = [10, 20]
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        DatasetFormatError,
-        CheckpointError,
-        ValueError,
-        FileNotFoundError,
-    ) as exc:
+    # ConfigError, DatasetFormatError and CheckpointError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,6 @@ from .core import (
     apply_edit_path,
     ged_bruteforce,
     ged_exact,
-    lower_bound_labels,
     nged,
     similarity,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "apply_edit_path",
     "ged_bruteforce",
     "ged_exact",
-    "lower_bound_labels",
     "nged",
     "similarity",
 ]

@@ -34,7 +34,6 @@ result is an optimal assignment in the caller's g1 ids either way.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
@@ -280,13 +279,6 @@ def ged_bruteforce(g1: Graph, g2: Graph) -> int:
         if best is None or cost < best:
             best = cost
     return best
-
-
-def lower_bound_labels(g1: Graph, g2: Graph) -> int:
-    """Admissible lower bound: label-multiset distance plus edge-count gap."""
-    overlap = sum((Counter(g1.labels) & Counter(g2.labels)).values())
-    node_bound = max(g1.n, g2.n) - overlap
-    return node_bound + abs(g1.num_edges - g2.num_edges)
 
 
 def nged(cost: int, n1: int, n2: int) -> float:

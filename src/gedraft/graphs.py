@@ -7,7 +7,7 @@ alphabet; edges are stored as a sorted tuple of ``(u, v)`` pairs with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,8 +23,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Graph:
     """A frozen graph with tuple fields, so what is derived from it (the
-    neighbour masks, the edge set, the ``validate`` result) is computed once
-    and cached on the instance."""
+    neighbour masks, the label and edge arrays, the ``validate`` result) is
+    computed once and cached on the instance."""
 
     id: str
     labels: tuple[int, ...]
@@ -77,13 +77,6 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
     def adjacency_masks(self) -> list[int]:
         """Per-node neighbor bitmasks (node i's neighbors as set bits)."""
         masks = [0] * self.n
@@ -111,15 +104,8 @@ class Graph:
         return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
 
     @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def _violations(self) -> tuple[str, ...]:
         return tuple(validate(self))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
 
 
 @dataclass(frozen=True)
@@ -332,21 +318,11 @@ def extract_induced(g: Graph, node_map) -> SubgraphExtraction:
     return SubgraphExtraction(g.id, sub, node_map)
 
 
-class EmptyRemainder:
-    """Marker: every node of the remainder was isolated and removed."""
-
-    def __repr__(self):
-        return "EmptyRemainder()"
-
-
-EMPTY_REMAINDER = EmptyRemainder()
-
-
 def remaining_subgraph(g: Graph, ex: SubgraphExtraction):
     """Delete the subgraph's edges from g, then drop all isolated nodes.
 
-    Survivor nodes are renumbered contiguously. Returns EMPTY_REMAINDER when
-    nothing survives.
+    Survivor nodes are renumbered contiguously. Returns None when nothing
+    survives.
     """
     if ex.parent_id != g.id:
         raise ValueError(
@@ -363,7 +339,7 @@ def remaining_subgraph(g: Graph, ex: SubgraphExtraction):
         incident.add(v)
     survivors = sorted(incident)
     if not survivors:
-        return EMPTY_REMAINDER
+        return None
     index = {p: i for i, p in enumerate(survivors)}
     labels = [g.labels[p] for p in survivors]
     edges = [(index[u], index[v]) for u, v in kept]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelConfig, forward_pairs, frozen
+from .model import ModelConfig, predict
 
 
 class Correlation(NamedTuple):
@@ -70,14 +70,6 @@ def kendall_checked(xs, ys) -> Correlation:
     return Correlation(c_minus_d / denom, True)
 
 
-def spearman(xs, ys) -> float:
-    return spearman_checked(xs, ys).value
-
-
-def kendall(xs, ys) -> float:
-    return kendall_checked(xs, ys).value
-
-
 def precision_at_k(pred, true, k: int, ids=None) -> float:
     """|predicted top-k  intersect  true top-k| / k.
 
@@ -120,20 +112,12 @@ class MetricsReport:
         }
 
 
-def predict_pairs(pair_list, dataset, params, cfg: ModelConfig, batch_size: int = 512):
-    """Raw model scores for PairRecords, in order; builds no autodiff tape."""
-    params = frozen(params)
-    out = np.empty(len(pair_list))
-    for start in range(0, len(pair_list), batch_size):
-        chunk = pair_list[start : start + batch_size]
-        gp = [(dataset.graph(p.i), dataset.graph(p.j)) for p in chunk]
-        out[start : start + len(chunk)] = forward_pairs(gp, params, cfg).values
-    return out
+def predict_pairs(pair_list, dataset, params, cfg: ModelConfig) -> np.ndarray:
+    """``predict`` on the graphs of PairRecords, in order."""
+    return predict([(dataset.graph(p.i), dataset.graph(p.j)) for p in pair_list], params, cfg)
 
 
-def evaluate(
-    params, cfg: ModelConfig, dataset, ks=(10, 20), batch_size: int = 512
-) -> MetricsReport:
+def evaluate(params, cfg: ModelConfig, dataset, ks=(10, 20)) -> MetricsReport:
     """Score every test pair and aggregate ranking metrics per query.
 
     Test pairs are (query id, corpus id) records; the per-query candidate
@@ -143,7 +127,7 @@ def evaluate(
     test_pairs = dataset.split_pairs("test")
     if not test_pairs:
         raise ValueError("dataset has no test pairs")
-    preds = predict_pairs(test_pairs, dataset, params, cfg, batch_size)
+    preds = predict_pairs(test_pairs, dataset, params, cfg)
     labels = np.asarray([p.sim for p in test_pairs])
     mse = float(((preds - labels) ** 2).mean())
 

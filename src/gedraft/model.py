@@ -30,6 +30,19 @@ from .dataset import json_float
 from .graphs import Graph
 
 CHECKPOINT_VERSION = "1"
+PREDICT_CHUNK = 512  # pairs per forward pass in ``predict``
+
+
+def check_field_types(config) -> None:
+    """ValueError unless each field of the dataclass ``config`` holds its
+    annotation's type: an ``int`` or ``str`` field exactly that type, a
+    ``float`` field an int or a float but never a bool. A field annotated
+    ``object`` is left to its class."""
+    for name, kind in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        allowed = (int, float) if kind is float else (kind,)
+        if kind is not object and type(value) not in allowed:
+            raise ValueError(f"config field {name!r} has a value of the wrong type: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.alphabet_size < 1 or self.hidden < 1 or self.layers < 1:
             raise ValueError("alphabet_size, hidden, and layers must be >= 1")
         if self.seed < 0:
@@ -54,10 +68,9 @@ class ModelConfig:
         if self.fusion not in fus.VARIANTS:
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
         # a JSON integer can lie beyond the largest double, so no float() here
-        if self.temperature != "learnable" and not 0 < self.temperature <= sys.float_info.max:
-            raise ValueError(
-                f"temperature must be 'learnable' or finite and positive, got {self.temperature}"
-            )
+        t = self.temperature
+        if not (t == "learnable" or type(t) in (int, float) and 0 < t <= sys.float_info.max):
+            raise ValueError(f"temperature must be 'learnable' or finite and positive, got {t!r}")
         if self.ntn_slices < 1 or self.efn_reduction < 1:
             raise ValueError("ntn_slices and efn_reduction must be >= 1")
 
@@ -77,13 +90,13 @@ class ModelConfig:
         return max(8, self.fused_dim // 2), max(8, self.fused_dim // 4)
 
     def to_json(self) -> dict:
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
     @staticmethod
     def from_json(doc) -> "ModelConfig":
         """The config in a JSON object; ValueError for anything else, such as
-        an integer field that is not a JSON integer or is a boolean."""
+        an integer field that is not a JSON integer or is a boolean (the
+        type check is ``__post_init__``'s)."""
         if not isinstance(doc, dict):
             raise ValueError(f"config must be an object, got {type(doc).__name__}")
         unknown = set(doc) - set(ModelConfig.__dataclass_fields__)
@@ -91,14 +104,6 @@ class ModelConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "alphabet_size" not in doc:
             raise ValueError("config lacks alphabet_size")
-        types = typing.get_type_hints(ModelConfig)
-        for key, value in doc.items():
-            if key == "temperature":
-                ok = value == "learnable" or type(value) in (int, float)
-            else:
-                ok = type(value) is types[key]
-            if not ok:
-                raise ValueError(f"config field {key!r} has a value of the wrong type: {value!r}")
         return ModelConfig(**doc)
 
 
@@ -134,8 +139,16 @@ def forward_pairs(pairs: list[tuple[Graph, Graph]], params: dict, cfg: ModelConf
     return regress(fused, params)
 
 
-def forward(g_i: Graph, g_j: Graph, params: dict, cfg: ModelConfig) -> float:
-    return float(forward_pairs([(g_i, g_j)], params, cfg).values[0])
+def predict(pairs: list[tuple[Graph, Graph]], params: dict, cfg: ModelConfig) -> np.ndarray:
+    """Predicted similarities of the graph pairs, in order, computed
+    ``PREDICT_CHUNK`` pairs per forward pass on frozen parameters, so no
+    autodiff tape is built."""
+    params = frozen(params)
+    out = np.empty(len(pairs))
+    for start in range(0, len(pairs), PREDICT_CHUNK):
+        chunk = pairs[start : start + PREDICT_CHUNK]
+        out[start : start + len(chunk)] = forward_pairs(chunk, params, cfg).values
+    return out
 
 
 def batch_loss(pairs, sims, params: dict, cfg: ModelConfig) -> Tensor:

@@ -152,7 +152,10 @@ class Adam:
         self.m, self.v = moments["m"], moments["v"]
 
 
-def grad_check(f, inputs, h: float = 1e-5) -> float:
+GRAD_CHECK_STEP = 1e-5  # the central difference's step h
+
+
+def grad_check(f, inputs) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps the input tensors to a scalar Tensor; every input must have
@@ -171,6 +174,7 @@ def grad_check(f, inputs, h: float = 1e-5) -> float:
     # the finite differences run on constants sharing the inputs' values,
     # so they build no tape
     consts = [Tensor(x.values) for x in inputs]
+    h = GRAD_CHECK_STEP
     worst = 0.0
     for x in inputs:
         analytic = np.zeros(x.shape) if x.grad is None else x.grad

@@ -17,17 +17,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import distinct_graphs, encode_graphs, init_mlp, mlp
-from .graphs import (
-    EMPTY_REMAINDER,
-    Graph,
-    SubgraphExtraction,
-    random_walk_subgraph,
-    remaining_subgraph,
-)
+from .graphs import Graph, SubgraphExtraction, random_walk_subgraph, remaining_subgraph
 from .metrics import evaluate, spearman_checked
 from .model import ModelConfig, copy_params, frozen, fused_pair_embedding, params_equal
 from .optim import Adam
 from .rng import SplitMix64
+
+MAX_ATTEMPTS = 20  # random-walk draws per triple before its base graph is skipped
+# the alignment probe's mini-batch, Adam step size and hidden widths, as
+# multiples of max(in_dim, out_dim)
+PROBE_BATCH = 64
+PROBE_LR = 0.001
+PROBE_WIDTHS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,11 @@ class ResatTriple:
     remaining: Graph
 
 
-def build_resat_dataset(graphs, per_graph: int, seed: int, max_attempts: int = 20):
+def build_resat_dataset(graphs, per_graph: int, seed: int):
     """Returns (triples, skipped graph ids); deterministic given seed.
 
     A draw whose remaining graph is empty is resampled; a base graph that
-    exhausts max_attempts on any draw is skipped entirely.
+    exhausts MAX_ATTEMPTS on any draw is skipped entirely.
     """
     if per_graph < 0:
         raise ValueError(f"need per_graph >= 0, got {per_graph}")
@@ -55,10 +56,10 @@ def build_resat_dataset(graphs, per_graph: int, seed: int, max_attempts: int = 2
         own: list[ResatTriple] = []
         ok = True
         for _ in range(per_graph):
-            for _attempt in range(max_attempts):
+            for _attempt in range(MAX_ATTEMPTS):
                 ex = random_walk_subgraph(g, rng.next_u64())
                 rem = remaining_subgraph(g, ex)
-                if rem is not EMPTY_REMAINDER:
+                if rem is not None:
                     own.append(ResatTriple(g, ex, rem))
                     break
             else:
@@ -104,22 +105,17 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     return out
 
 
-def resat_probe(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    seed: int,
-    epochs: int = 200,
-    batch_size: int = 64,
-    lr: float = 0.001,
-    width_multipliers=(1, 2),
-) -> float:
+def resat_probe(inputs: np.ndarray, targets: np.ndarray, seed: int, epochs: int = 200) -> float:
     """Best validation MSE of an alignment MLP trained on an 80/20 split.
 
     The probe has two relu hidden layers of width m * max(in_dim, out_dim)
-    for each multiplier m; the best validation MSE over the grid is
-    returned. Inputs and targets are fixed arrays, so the probed model is
-    untouched by construction.
+    for each multiplier m of PROBE_WIDTHS; the best validation MSE over the
+    grid is returned. Inputs and targets are fixed arrays, so the probed
+    model is untouched by construction. ValueError for fewer than 10 triples
+    or fewer than one epoch.
     """
+    if epochs < 1:
+        raise ValueError(f"need at least 1 probe epoch, got {epochs}")
     n = len(inputs)
     if n < 10:
         raise ValueError(f"need at least 10 triples, got {n}")
@@ -130,15 +126,15 @@ def resat_probe(
     x_tr, y_tr = inputs[tr], targets[tr]
     x_va, y_va = Tensor(inputs[va]), Tensor(targets[va])
     best_overall = None
-    for mult in width_multipliers:
+    for mult in PROBE_WIDTHS:
         width = mult * max(inputs.shape[1], targets.shape[1])
         p = init_mlp(rng, (inputs.shape[1], width, width, targets.shape[1]), "probe")
-        opt = Adam(p, lr=lr)
+        opt = Adam(p, lr=PROBE_LR)
         best = None
         for _epoch in range(epochs):
             order = rng.permutation(len(tr))
-            for start in range(0, len(tr), batch_size):
-                idx = order[start : start + batch_size]
+            for start in range(0, len(tr), PROBE_BATCH):
+                idx = order[start : start + PROBE_BATCH]
                 opt.zero_grad()
                 loss = ad.mse_loss(mlp(Tensor(x_tr[idx]), p, "probe", 3), Tensor(y_tr[idx]))
                 backward(loss)
@@ -189,10 +185,13 @@ def resat_compare(
 
     For diffatt both the pre-attention and post-attention embeddings are
     probed. The cross-variant Spearman rho relates GSC test MSE to the
-    alignment MSE (post-attention value for diffatt).
+    alignment MSE (post-attention value for diffatt). ValueError for no
+    variants or no seeds, before any probe runs.
     """
     if not variants:
         raise ValueError("no variants to compare")
+    if not seeds:
+        raise ValueError("no probe seeds: the mean RESAT MSE of none is undefined")
     rows = []
     for name, (params, cfg) in variants.items():
         before = copy_params(params)

@@ -52,16 +52,7 @@ class SplitMix64:
         """Uniform float in [0, 1)."""
         return self.next_u64() / 2.0**64
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice from empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, xs: list) -> None:
         for i in range(len(xs) - 1, 0, -1):
             j = self.randrange(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child generator keyed off this one's stream."""
-        return SplitMix64(self.next_u64())

@@ -10,12 +10,15 @@ the expansion budget are dropped and counted.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .dataset import Dataset, PairRecord
 from .ged import DEFAULT_BUDGET, GedBudgetExceeded, ged_exact, nged, similarity
 from .graphs import Graph, generate_er, perturb
 from .rng import SplitMix64
+
+PERTURB_MAX = 3  # a perturbed graph is 1..PERTURB_MAX edits from its base
 
 
 @dataclass
@@ -26,16 +29,19 @@ class GenReport:
     expansions: int  # search expansions of the labeled and the dropped pairs
 
 
-# Expansions of the labeled pairs since build_dataset last reset it. perfbench
-# wraps _label_pair as (g1, g2, split, budget) -> PairRecord, so the count
-# cannot travel in its arguments or its result.
-_expansions = 0
+# The running count of search expansions of the pairs labeled by the
+# build_dataset of the current context, as a one-item list. A labeling run
+# nested in another (from a second thread, or from inside a replaced
+# ged_exact) sets a list of its own and restores the outer one on exit.
+# perfbench's tests replace _label_pair with a (g1, g2, split, budget) ->
+# PairRecord function, so the count cannot travel in its arguments or its
+# result.
+_expansion_tally: ContextVar[list] = ContextVar("_expansion_tally")
 
 
 def _label_pair(g1: Graph, g2: Graph, split: str, budget: int):
-    global _expansions
     res = ged_exact(g1, g2, budget)
-    _expansions += res.expansions
+    _expansion_tally.get()[0] += res.expansions
     d = nged(res.cost, g1.n, g2.n)
     return PairRecord(g1.id, g2.id, res.cost, d, similarity(d), split)
 
@@ -51,7 +57,6 @@ def build_dataset(
     val_frac: float = 0.2,
     pairs_per_graph: int = 10,
     budget: int = DEFAULT_BUDGET,
-    perturb_max: int = 3,
 ):
     """Returns (Dataset, GenReport)."""
     if n_graphs < 3:
@@ -68,7 +73,7 @@ def build_dataset(
         gid = f"g{i:05d}"
         if i % 2 == 1 and graphs:
             base = graphs[rng.randrange(len(graphs))]
-            k = 1 + rng.randrange(perturb_max)
+            k = 1 + rng.randrange(PERTURB_MAX)
             g = perturb(base, k, rng.next_u64(), alphabet_size)
             graphs.append(Graph(gid, g.labels, g.edges))
         else:
@@ -108,16 +113,19 @@ def build_dataset(
         for other in corpus:
             wanted.append((gid, other, "test"))
 
-    global _expansions
-    _expansions = 0
     pairs = []
+    labeled = [0]
     dropped = dropped_expansions = 0
-    for gi, gj, split in wanted:
-        try:
-            pairs.append(_label_pair(by_id[gi], by_id[gj], split, budget))
-        except GedBudgetExceeded as exc:
-            dropped += 1
-            dropped_expansions += exc.expansions
+    token = _expansion_tally.set(labeled)
+    try:
+        for gi, gj, split in wanted:
+            try:
+                pairs.append(_label_pair(by_id[gi], by_id[gj], split, budget))
+            except GedBudgetExceeded as exc:
+                dropped += 1
+                dropped_expansions += exc.expansions
+    finally:
+        _expansion_tally.reset(token)
     alphabet = tuple(str(i) for i in range(alphabet_size))
     ds = Dataset(alphabet, graphs, pairs)
-    return ds, GenReport(n_graphs, len(pairs), dropped, _expansions + dropped_expansions)
+    return ds, GenReport(n_graphs, len(pairs), dropped, labeled[0] + dropped_expansions)

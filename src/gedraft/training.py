@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward
-from .model import ModelConfig, batch_loss, copy_params, forward_pairs, frozen, init_params
+from .model import ModelConfig, batch_loss, check_field_types, copy_params, init_params, predict
 from .optim import Adam
 
 
@@ -28,6 +28,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1 or self.validations < 1:
             raise ValueError("epochs, batch_size, validations must be >= 1")
         if not 0 < self.lr < math.inf:
@@ -43,14 +44,9 @@ def _pair_views(dataset, split):
     return graphs, sims
 
 
-def validation_loss(params, cfg, graphs, sims, batch_size=512) -> float:
-    """Mean squared error over the pairs; builds no autodiff tape."""
-    params = frozen(params)
-    preds = np.empty(len(graphs))
-    for start in range(0, len(graphs), batch_size):
-        chunk = graphs[start : start + batch_size]
-        preds[start : start + len(chunk)] = forward_pairs(chunk, params, cfg).values
-    return float(((preds - sims) ** 2).mean())
+def validation_loss(params, cfg, graphs, sims) -> float:
+    """Mean squared error of ``predict`` over the graph pairs."""
+    return float(((predict(graphs, params, cfg) - sims) ** 2).mean())
 
 
 def validation_steps(total_steps: int, cfg: TrainConfig):
@@ -59,7 +55,7 @@ def validation_steps(total_steps: int, cfg: TrainConfig):
     return sorted(set(int(round(p)) for p in pts))
 
 
-def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset, params=None, quiet=True):
+def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset, quiet=True):
     """Returns (best_params, history).
 
     history: {"train_loss": [(step, loss)], "val_loss": [(step, loss)],
@@ -71,8 +67,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset, params=None, 
         raise ValueError("dataset has no train pairs")
     if not val_graphs:
         raise ValueError("dataset has no val pairs")
-    if params is None:
-        params = init_params(model_cfg)
+    params = init_params(model_cfg)
     opt = Adam(params, lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     n = len(train_graphs)

@@ -424,3 +424,66 @@ def test_eval_rejects_k_below_one(workspace, capsys, k):
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert "k >= 1" in captured.err and captured.out == ""
+
+
+def test_eval_defaults_to_p_at_10_and_20(workspace, monkeypatch):
+    seen = []
+
+    def recording_evaluate(params, cfg, dataset, ks):
+        seen.append(ks)
+        raise ValueError("stop here")
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    args = ["eval", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", str(workspace["checkpoint"])]
+    assert main(args) == EXIT_USAGE
+    assert main(args + ["--k", "3"]) == EXIT_USAGE
+    assert seen == [(10, 20), (3,)]
+
+
+@pytest.fixture
+def no_probing(monkeypatch):
+    """Fails the test if a RESAT probe starts."""
+    from gedraft import resat
+
+    def probe(*args, **kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(resat, "resat_probe", probe)
+
+
+def test_resat_refuses_zero_probe_seeds(workspace, tmp_path, capsys, no_probing):
+    out = tmp_path / "resat.json"
+    code = main(
+        [
+            "resat", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", f"abs={workspace['checkpoint']}", "--per-graph", "4",
+            "--probe-seeds", "0", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "no probe seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resat_refuses_zero_probe_epochs(workspace, tmp_path, capsys):
+    out = tmp_path / "resat.json"
+    code = main(
+        [
+            "resat", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", f"abs={workspace['checkpoint']}", "--per-graph", "4",
+            "--probe-epochs", "0", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "at least 1 probe epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_directory_exits_2(workspace, tmp_path, capsys):
+    code = main(
+        ["eval", "--dataset", str(tmp_path), "--checkpoint", str(workspace["checkpoint"])]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert str(tmp_path) in captured.err and "Traceback" not in captured.err

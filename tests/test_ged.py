@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from gedraft.ged import (
     apply_edit_path,
     ged_bruteforce,
     ged_exact,
-    lower_bound_labels,
     nged,
     similarity,
 )
@@ -93,16 +93,13 @@ def test_edit_path_witness_replays_to_target():
 
 
 def test_lower_bound_admissible():
+    # the bound the search starts from (see the core module docstring):
+    # label-multiset distance plus edge-count gap never exceeds the GED
     for trial in range(80):
         g1, g2 = rand_pair(trial)
-        assert lower_bound_labels(g1, g2) <= ged_exact(g1, g2).cost
-
-
-def test_lower_bound_example():
-    # disjoint label multisets and an edge-count gap of 2
-    g1 = G.Graph.make("a", [0, 0, 0], [(0, 1), (1, 2), (0, 2)])
-    g2 = G.Graph.make("b", [1, 1, 1], [(0, 1)])
-    assert lower_bound_labels(g1, g2) == 3 + 2
+        overlap = sum((Counter(g1.labels) & Counter(g2.labels)).values())
+        bound = max(g1.n, g2.n) - overlap + abs(g1.num_edges - g2.num_edges)
+        assert bound <= ged_exact(g1, g2).cost
 
 
 def test_budget_exceeded_raises_with_upper_bound():
@@ -463,9 +460,9 @@ def test_lower_bound_counts_sparse_labels():
     g2 = G.Graph.make("b", [7, 10**12], [(0, 1)])
     d1 = G.Graph.make("a", [1, 0, 2], [(0, 1), (1, 2)])
     d2 = G.Graph.make("b", [0, 1], [(0, 1)])
-    assert lower_bound_labels(g1, g2) == lower_bound_labels(d1, d2) <= ged_exact(g1, g2).cost
+    assert ged_exact(g1, g2).cost == ged_exact(d1, d2).cost == ged_bruteforce(d1, d2)
     far, zero = G.Graph.make("a", [2**40], []), G.Graph.make("b", [0], [])
-    assert lower_bound_labels(far, zero) == 1 == ged_exact(far, zero).cost
+    assert ged_exact(far, zero).cost == 1
 
 
 def test_ged_exact_calls_the_kernel_once_per_call(monkeypatch):
@@ -526,6 +523,29 @@ def test_gen_report_counts_expansions_of_labeled_and_dropped_pairs(monkeypatch):
     assert again == report
 
 
+def test_gen_report_of_a_run_with_a_labeling_run_nested_in_it(monkeypatch):
+    # a second labeling run, started while a first one is labeling (as from
+    # another thread), keeps its own count and leaves the first one's alone
+    from gedraft import synth
+
+    run = dict(n_graphs=8, n_min=4, n_max=6, p=0.4, alphabet_size=3, seed=5)
+    plain_ds, plain = synth.build_dataset(**run)
+    nested = []
+
+    def labeling_elsewhere(*args):
+        if not nested:
+            nested.append(None)  # the nested run's own calls label plainly
+            nested[0] = synth.build_dataset(**{**run, "seed": 6})
+        return ged_exact(*args)
+
+    monkeypatch.setattr(synth, "ged_exact", labeling_elsewhere)
+    ds, report = synth.build_dataset(**run)
+    assert nested and nested[0][1].expansions > 0
+    assert report == plain and ds.pairs == plain_ds.pairs
+    monkeypatch.undo()
+    assert synth.build_dataset(**{**run, "seed": 6})[1] == nested[0][1]
+
+
 def reference_build_path(g1, g2, assign):
     """The edit path built with dicts and sets, as ``_build_path`` once did."""
     n2 = g2.n
@@ -536,9 +556,11 @@ def reference_build_path(g1, g2, assign):
         for u, w in g1.edges
         if u in image and w in image
     }
+    e2 = set(g2.edges)
     path = []
     for u, w in g1.edges:
-        if not (u in image and w in image and g2.has_edge(image[u], image[w])):
+        if not (u in image and w in image
+                and (min(image[u], image[w]), max(image[u], image[w])) in e2):
             path.append(core.EditOp("edge-delete", (u, w)))
     path += [core.EditOp("node-delete", (u,)) for u in range(g1.n) if u not in image]
     path += [

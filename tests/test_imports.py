@@ -1,4 +1,5 @@
-"""Each gedraft module imports alone, in a fresh interpreter.
+"""Each gedraft module imports alone, in a fresh interpreter, and every name
+the benchmark reaches into exists.
 
 A cycle between modules (``model`` imports ``encoder`` and ``fusion``,
 which take a ``ModelConfig`` without importing ``model``) shows only in
@@ -6,6 +7,8 @@ some import orders, and one test process imports every module in one
 order. So each module gets an interpreter of its own.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(
     ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
     for path in (SRC / "gedraft").rglob("*.py")
@@ -33,3 +37,23 @@ def test_module_imports_alone(module):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_seams_resolve():
+    # perfbench/tracer.py (standard library only) wraps the (module,
+    # attribute) pairs of its TARGETS and the kernel's solve; perfbench's own
+    # tests replace synth._label_pair. Renaming any of them breaks the
+    # benchmark, whose suite is not part of this one.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    seams = [(owner, attr) for owner, attr, _span, _count in tracer.TARGETS]
+    seams.append(("gedraft.synth", "_label_pair"))
+    missing = []
+    for owner, attr in seams:
+        module, _, cls = owner.partition(":")
+        found = importlib.import_module(module)
+        if not callable(getattr(getattr(found, cls) if cls else found, attr, None)):
+            missing.append((owner, attr))
+    assert tracer.TARGETS and not missing, missing
+    assert callable(importlib.import_module("gedraft.ged.core")._kernel.solve)

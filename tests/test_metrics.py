@@ -10,10 +10,8 @@ from scipy import stats
 from gedraft.metrics import (
     average_ranks,
     evaluate,
-    kendall,
     kendall_checked,
     precision_at_k,
-    spearman,
     spearman_checked,
 )
 from gedraft.model import ModelConfig, forward_pairs, init_params
@@ -23,6 +21,14 @@ from gedraft.model import ModelConfig, forward_pairs, init_params
 TAU_B_1223_1324 = 0.912870929175277  # xs=(1,2,2,3), ys=(1,3,2,4)
 TAU_B_1223_1423 = 0.5477225575051661  # xs=(1,2,2,3), ys=(1,4,2,3) (tie case)
 RHO_1223_1324 = 0.9486832980505138  # Pearson on ranks (1,2.5,2.5,4),(1,3,2,4)
+
+
+def spearman(xs, ys):
+    return spearman_checked(xs, ys).value
+
+
+def kendall(xs, ys):
+    return kendall_checked(xs, ys).value
 
 
 def test_average_ranks_with_ties():
@@ -159,7 +165,7 @@ def test_evaluate_rejects_k_below_one(tiny_dataset, k):
 
 
 def test_predict_pairs_builds_no_tape(tiny_dataset, monkeypatch):
-    from gedraft import metrics
+    from gedraft import metrics, model
 
     cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt")
     params = init_params(cfg)
@@ -170,13 +176,14 @@ def test_predict_pairs_builds_no_tape(tiny_dataset, monkeypatch):
         outputs.append(forward_pairs(*args))
         return outputs[-1]
 
-    monkeypatch.setattr(metrics, "forward_pairs", recorded)
-    preds = metrics.predict_pairs(pairs, tiny_dataset, params, cfg, batch_size=50)
+    monkeypatch.setattr(model, "forward_pairs", recorded)
+    monkeypatch.setattr(model, "PREDICT_CHUNK", 50)
+    preds = metrics.predict_pairs(pairs, tiny_dataset, params, cfg)
     assert len(outputs) > 1 and not any(o.requires_grad or o._parents for o in outputs)
     assert all(t.grad is None for t in params.values())
     # the same run with the tape on gives the same bits
     outputs.clear()
-    monkeypatch.setattr(metrics, "frozen", lambda p: p)
-    taped = metrics.predict_pairs(pairs, tiny_dataset, params, cfg, batch_size=50)
+    monkeypatch.setattr(model, "frozen", lambda p: p)
+    taped = metrics.predict_pairs(pairs, tiny_dataset, params, cfg)
     assert all(o.requires_grad for o in outputs)
     assert np.array_equal(taped, preds)

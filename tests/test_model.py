@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import composed
+from gedraft import model
 from gedraft.autodiff import backward
 from gedraft.graphs import SplitMix64, generate_er, permute
 from gedraft.model import (
@@ -13,13 +14,14 @@ from gedraft.model import (
     ModelConfig,
     batch_loss,
     copy_params,
-    forward,
     forward_pairs,
     init_params,
     load_checkpoint,
     params_equal,
+    predict,
     save_checkpoint,
 )
+from gedraft.training import validation_loss
 
 CFG = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt", seed=0)
 
@@ -47,6 +49,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="ntn_slices and efn_reduction"):
             ModelConfig(alphabet_size=3, fusion="ntn", **bad)
     assert ModelConfig(alphabet_size=3, temperature=1e6).temperature == 1e6
+    # each field holds its annotation's type: an int field exactly an int, a
+    # temperature other than "learnable" an int or a float, never a bool
+    for bad in (dict(hidden=2.5), dict(hidden=True), dict(layers="3"), dict(seed=None),
+                dict(alphabet_size=3.0), dict(readout=["gca"]), dict(fusion=1),
+                dict(temperature=True), dict(temperature="hot"), dict(temperature=None)):
+        with pytest.raises(ValueError):
+            ModelConfig(**{"alphabet_size": 3, **bad})
+    assert ModelConfig(alphabet_size=3, temperature=2).temperature == 2
 
 
 @pytest.mark.parametrize("temperature", ["learnable", 0.5])
@@ -136,19 +146,51 @@ def test_forward_deterministic_and_batched_consistent():
     gs = some_graphs(6)
     pairs = [(gs[0], gs[1]), (gs[2], gs[3]), (gs[4], gs[5]), (gs[0], gs[5])]
     batched = forward_pairs(pairs, params, CFG).values
-    singles = [forward(a, b, params, CFG) for a, b in pairs]
+    singles = [predict([pair], params, CFG)[0] for pair in pairs]
     assert np.allclose(batched, singles, atol=1e-12)
+
+
+def test_predict_builds_no_tape_and_matches_a_taped_run(tiny_dataset, monkeypatch):
+    from gedraft import metrics
+
+    pair_list = tiny_dataset.split_pairs("test")
+    pairs = [(tiny_dataset.graph(p.i), tiny_dataset.graph(p.j)) for p in pair_list]
+    params = init_params(CFG)
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(forward_pairs(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, "forward_pairs", recorded)
+    monkeypatch.setattr(model, "PREDICT_CHUNK", 50)
+    preds = predict(pairs, params, CFG)
+    assert len(outputs) == -(-len(pairs) // 50) > 1
+    assert not any(o.requires_grad or o._parents for o in outputs)
+    assert all(t.grad is None for t in params.values())
+    # the same chunks with the tape on give the same bits
+    outputs.clear()
+    monkeypatch.setattr(model, "frozen", lambda p: p)
+    taped = predict(pairs, params, CFG)
+    assert all(o.requires_grad for o in outputs)
+    assert taped.tobytes() == preds.tobytes()
+    # validation and evaluation score through it
+    monkeypatch.undo()
+    preds = predict(pairs, params, CFG)
+    assert metrics.predict_pairs(pair_list, tiny_dataset, params, CFG).tobytes() == preds.tobytes()
+    sims = np.asarray([p.sim for p in pair_list])
+    assert validation_loss(params, CFG, pairs, sims) == float(((preds - sims) ** 2).mean())
 
 
 def test_forward_permutation_invariance():
     params = init_params(CFG)
     rng = SplitMix64(9)
     g1, g2 = some_graphs(2, seed0=40)
-    base = forward(g1, g2, params, CFG)
+    base = predict([(g1, g2)], params, CFG)[0]
     for _ in range(5):
         pi = list(range(g1.n))
         rng.shuffle(pi)
-        assert forward(permute(g1, pi), g2, params, CFG) == pytest.approx(base, rel=1e-8)
+        assert predict([(permute(g1, pi), g2)], params, CFG)[0] == pytest.approx(base, rel=1e-8)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

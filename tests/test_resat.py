@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gedraft import resat
 from gedraft.encoder import encode_graphs
 from gedraft.ged import ged_exact
 from gedraft.graphs import check_extraction, generate_er
@@ -76,11 +77,12 @@ def test_resat_probe_needs_enough_triples():
         resat_probe(np.zeros((5, 4)), np.zeros((5, 4)), seed=0)
 
 
-def test_resat_probe_constant_target_converges():
+def test_resat_probe_constant_target_converges(monkeypatch):
+    monkeypatch.setattr(resat, "PROBE_LR", 0.02)
     rng = np.random.default_rng(0)
     inputs = rng.normal(size=(40, 6))
     targets = np.zeros((40, 4))
-    mse = resat_probe(inputs, targets, seed=0, epochs=300, lr=0.02)
+    mse = resat_probe(inputs, targets, seed=0, epochs=300)
     assert mse < 1e-3
 
 
@@ -93,13 +95,14 @@ def test_resat_probe_deterministic():
     assert a == b
 
 
-def test_resat_probe_true_pairing_beats_shuffled():
+def test_resat_probe_true_pairing_beats_shuffled(monkeypatch):
+    monkeypatch.setattr(resat, "PROBE_LR", 0.01)
     rng = np.random.default_rng(2)
     inputs = rng.normal(size=(60, 5))
     targets = inputs @ rng.normal(size=(5, 4)) + 0.01 * rng.normal(size=(60, 4))
-    true_mse = np.mean([resat_probe(inputs, targets, s, epochs=200, lr=0.01) for s in range(5)])
+    true_mse = np.mean([resat_probe(inputs, targets, s, epochs=200) for s in range(5)])
     shuffled = targets[rng.permutation(60)]
-    shuf_mse = np.mean([resat_probe(inputs, shuffled, s, epochs=200, lr=0.01) for s in range(5)])
+    shuf_mse = np.mean([resat_probe(inputs, shuffled, s, epochs=200) for s in range(5)])
     assert true_mse < shuf_mse
 
 

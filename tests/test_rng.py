@@ -50,16 +50,3 @@ def test_shuffle_is_permutation_and_deterministic():
     SplitMix64(5).shuffle(b)
     assert a == b
     assert sorted(a) == xs
-
-
-def test_choice():
-    rng = SplitMix64(1)
-    assert rng.choice([42]) == 42
-    with pytest.raises(ValueError):
-        rng.choice([])
-
-
-def test_spawn_independent_stream():
-    parent = SplitMix64(8)
-    child = parent.spawn()
-    assert child.next_u64() != parent.next_u64()

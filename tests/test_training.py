@@ -9,6 +9,18 @@ CFG = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="di
 TC = TrainConfig(epochs=4, batch_size=16, lr=0.003, validations=6, seed=0)
 
 
+def test_train_config_validation():
+    for bad in (dict(epochs=0), dict(batch_size=0), dict(validations=0), dict(lr=0.0),
+                dict(lr=float("inf")), dict(val_window=0.0), dict(val_window=1.5)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    for bad in (dict(epochs=2.5), dict(epochs=True), dict(batch_size="8"), dict(lr=True),
+                dict(lr="0.1"), dict(val_window=None), dict(seed=1.0)):
+        with pytest.raises(ValueError, match="wrong type"):
+            TrainConfig(**bad)
+    assert TrainConfig(lr=1, val_window=1).lr == 1
+
+
 def test_validation_steps_cover_final_window():
     steps = validation_steps(100, TrainConfig(validations=20, val_window=0.5))
     assert steps[0] >= 50
@@ -84,7 +96,7 @@ def test_evaluate_perfect_predictions_scores_one(tiny_dataset):
     labels = {(p.i, p.j): p.sim for p in tiny_dataset.split_pairs("test")}
     original = metrics.predict_pairs
     try:
-        metrics.predict_pairs = lambda pair_list, ds, params, cfg, batch_size=512: np.asarray(
+        metrics.predict_pairs = lambda pair_list, ds, params, cfg: np.asarray(
             [labels[(p.i, p.j)] for p in pair_list]
         )
         report = metrics.evaluate(None, CFG, tiny_dataset, ks=(3,))
@@ -97,7 +109,7 @@ def test_evaluate_perfect_predictions_scores_one(tiny_dataset):
 
 
 def test_validation_loss_builds_no_tape(tiny_dataset, monkeypatch):
-    from gedraft import training
+    from gedraft import model, training
 
     graphs, sims = training._pair_views(tiny_dataset, "val")
     params = init_params(CFG)
@@ -107,13 +119,14 @@ def test_validation_loss_builds_no_tape(tiny_dataset, monkeypatch):
         outputs.append(forward_pairs(*args))
         return outputs[-1]
 
-    monkeypatch.setattr(training, "forward_pairs", recorded)
-    value = training.validation_loss(params, CFG, graphs, sims, batch_size=7)
+    monkeypatch.setattr(model, "forward_pairs", recorded)
+    monkeypatch.setattr(model, "PREDICT_CHUNK", 7)
+    value = training.validation_loss(params, CFG, graphs, sims)
     assert len(outputs) > 1 and not any(o.requires_grad or o._parents for o in outputs)
     assert all(t.grad is None for t in params.values())
     # the same run with the tape on gives the same bits
     outputs.clear()
-    monkeypatch.setattr(training, "frozen", lambda p: p)
-    taped = training.validation_loss(params, CFG, graphs, sims, batch_size=7)
+    monkeypatch.setattr(model, "frozen", lambda p: p)
+    taped = training.validation_loss(params, CFG, graphs, sims)
     assert all(o.requires_grad for o in outputs)
     assert taped == value
