@@ -355,7 +355,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.values.sum(axis=axes, keepdims=keepdims), [(a, grad_fn)])
 
 
-def reduce_max(a, axis: int, keepdims: bool = False) -> Tensor:
+def reduce_max(a, axis: int) -> Tensor:
     """Max over one axis; the gradient flows to the first maximal index."""
     a = as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
@@ -363,13 +363,11 @@ def reduce_max(a, axis: int, keepdims: bool = False) -> Tensor:
         raise ShapeError("reduce_max supports a single axis")
     ax = axes[0]
     idx = np.argmax(a.values, axis=ax)
-    out = a.values.max(axis=ax, keepdims=keepdims)
+    out = a.values.max(axis=ax)
 
     def grad_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
         res = np.zeros(a.shape)
-        np.put_along_axis(res, np.expand_dims(idx, ax), g, axis=ax)
+        np.put_along_axis(res, np.expand_dims(idx, ax), np.expand_dims(g, ax), axis=ax)
         return res
 
     return _make(out, [(a, grad_fn)])

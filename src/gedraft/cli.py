@@ -3,7 +3,8 @@
 Subcommands: gen, ged, train, eval, resat, gradcheck. Exit codes: 0 on
 success, 2 on usage errors (a bad flag value, config, dataset or checkpoint,
 or a file that cannot be read or written), 3 on numeric failure (gradient
-check above tolerance, edit-distance budget exhausted).
+check above tolerance or non-finite, edit-distance budget exhausted, diverged
+training).
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def cmd_resat(args) -> int:
         if "=" not in spec_item:
             raise ConfigError(f"--checkpoint wants name=path, got {spec_item!r}")
         name, path = spec_item.split("=", 1)
+        if name in variants:
+            raise ConfigError(f"--checkpoint names {name!r} twice")
         variants[name] = _load_model(path, dataset)
     test_ids = {p.i for p in dataset.split_pairs("test")}
     graphs = [g for g in dataset.graphs if g.id in test_ids]
@@ -354,10 +357,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    # ConfigError, DatasetFormatError and CheckpointError are ValueErrors
-    except (ValueError, OSError) as exc:
+    # ConfigError, DatasetFormatError and CheckpointError are ValueErrors; a
+    # diverged training and a non-finite gradient check, FloatingPointErrors
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, FloatingPointError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

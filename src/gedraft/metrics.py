@@ -121,9 +121,11 @@ def evaluate(params, cfg: ModelConfig, dataset, ks=(10, 20)) -> MetricsReport:
     """Score every test pair and aggregate ranking metrics per query.
 
     Test pairs are (query id, corpus id) records; the per-query candidate
-    list is ordered by ascending corpus graph id. ValueError for a k below 1
-    (from ``precision_at_k``).
+    list is ordered by ascending corpus graph id. ValueError for a repeated
+    k, or a k below 1 (from ``precision_at_k``).
     """
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"repeated P@k cutoff in {list(ks)}")
     test_pairs = dataset.split_pairs("test")
     if not test_pairs:
         raise ValueError("dataset has no test pairs")

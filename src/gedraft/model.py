@@ -8,9 +8,10 @@ the config whole (``init_encoder_params``, ``init_fusion_params``,
 The predicted similarity is an unclamped scalar (no output sigmoid);
 training and evaluation consume raw predictions.
 
-Checkpoints are JSON (schema version 1) with canonical key ordering and
-floats in shortest round-trip form (see ``dataset.json_float``), so a
-round-trip restores every parameter bit-exactly.
+A checkpoint is the model only: JSON (schema version 1) of the config and
+the parameters, with canonical key ordering and floats in shortest
+round-trip form (see ``dataset.json_float``), so a round-trip restores
+every parameter bit-exactly.
 """
 
 from __future__ import annotations
@@ -191,19 +192,13 @@ def _array_from_json(doc, what: str) -> np.ndarray:
     return array
 
 
-def _arrays_from_json(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{what} is not an object")
-    return {name: _array_from_json(rec, f"{what} {name!r}") for name, rec in doc.items()}
-
-
-def _check_shapes(arrays: dict, shapes: dict, what: str) -> None:
+def _check_shapes(arrays: dict, shapes: dict) -> None:
     for name, shape in shapes.items():
         if name not in arrays:
-            raise CheckpointError(f"missing {what} {name!r}")
+            raise CheckpointError(f"missing parameter {name!r}")
         if arrays[name].shape != tuple(shape):
             raise CheckpointError(
-                f"{what} {name!r} has shape {arrays[name].shape}, expected {tuple(shape)}"
+                f"parameter {name!r} has shape {arrays[name].shape}, expected {tuple(shape)}"
             )
 
 
@@ -222,30 +217,27 @@ def _json_pieces(obj):
         yield json.dumps(obj, sort_keys=True)
 
 
-def save_checkpoint(params: dict, cfg: ModelConfig, path, optimizer_state=None) -> None:
+def save_checkpoint(params: dict, cfg: ModelConfig, path) -> None:
     """Write ``json.dumps(doc, sort_keys=True) + "\n"`` of the checkpoint's
     document one array at a time, so that no more than one array's text is
-    held at once. ValueError for a non-finite value, before the file is
-    opened."""
+    held at once. FloatingPointError for a non-finite parameter, before the
+    file is opened."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": cfg.to_json(),
         "params": {name: t.values for name, t in params.items()},
     }
-    arrays = list(doc["params"].values())
-    if optimizer_state is not None:
-        doc["optimizer"] = {key: optimizer_state[key] for key in ("step", "m", "v")}
-        arrays += [*optimizer_state["m"].values(), *optimizer_state["v"].values()]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("cannot write a non-finite value: JSON has no non-finite numbers")
+    if not all(np.isfinite(a).all() for a in doc["params"].values()):
+        raise FloatingPointError("cannot write a non-finite value: JSON has no non-finite numbers")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_pieces(doc))
         fh.write("\n")
 
 
 def load_checkpoint(path):
-    """Returns (params, config, optimizer_state-or-None); CheckpointError for
-    a file that is not a checkpoint of the current version."""
+    """Returns (params, config, None): the third value is always None, kept
+    for callers that unpack three. CheckpointError for a file that is not a
+    checkpoint of the current version, or has any other top-level key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -258,37 +250,30 @@ def load_checkpoint(path):
             f"unknown checkpoint version {doc.get('version')!r}; "
             f"expected {CHECKPOINT_VERSION!r}"
         )
+    unknown = set(doc) - {"version", "config", "params"}
+    if unknown:
+        raise CheckpointError(f"{path}: unknown top-level keys: {sorted(unknown)}")
     try:
         cfg = ModelConfig.from_json(doc.get("config"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}")
-    groups = {"parameter": _arrays_from_json(doc.get("params"), "parameter")}
+    if not isinstance(doc.get("params"), dict):
+        raise CheckpointError(f"{path}: params is not an object")
+    arrays = {k: _array_from_json(v, f"parameter {k!r}") for k, v in doc["params"].items()}
     # init_params allocates whatever the config asks for, so check its widths
     # against three stored shapes first; the file's size then bounds it.
     h = cfg.hidden
-    _check_shapes(groups["parameter"], {
+    _check_shapes(arrays, {
         "encoder.proj.W": (cfg.alphabet_size, h),
         "encoder.layer1.gin.W": (h, h),
         "regressor.W1": (cfg.fused_dim, cfg.regressor_widths[0]),
-    }, "parameter")
-    opt = doc.get("optimizer")
-    if "optimizer" in doc:
-        if not isinstance(opt, dict) or type(opt.get("step")) is not int or opt["step"] < 0:
-            raise CheckpointError("optimizer state has no step count")
-        for key in ("m", "v"):
-            groups[f"optimizer {key}"] = _arrays_from_json(opt.get(key), f"optimizer {key}")
+    })
     shapes = {name: t.shape for name, t in init_params(cfg).items()}
-    for what, arrays in groups.items():
-        _check_shapes(arrays, shapes, what)
-        extra = set(arrays) - set(shapes)
-        if extra:
-            raise CheckpointError(f"unexpected {what} names: {sorted(extra)}")
-    params = {name: Tensor(groups["parameter"][name], requires_grad=True) for name in shapes}
-    if opt is None:
-        return params, cfg, None
-    return params, cfg, {
-        "step": opt["step"], "m": groups["optimizer m"], "v": groups["optimizer v"]
-    }
+    _check_shapes(arrays, shapes)
+    extra = set(arrays) - set(shapes)
+    if extra:
+        raise CheckpointError(f"unexpected parameter names: {sorted(extra)}")
+    return {name: Tensor(arrays[name], requires_grad=True) for name in shapes}, cfg, None
 
 
 def copy_params(params: dict) -> dict:

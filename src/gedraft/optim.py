@@ -87,8 +87,7 @@ class Adam:
     call to the compiled ``_adam.step`` or, in a build without it, to
     ``numpy_step`` (``BACKEND`` is ``"c"`` or ``"numpy"``). Both leave the
     bits of the textbook expressions. A refused step (see ``numpy_step``)
-    changes nothing, ``step_count`` included. ``state_dict`` returns copies,
-    and ``load_state_dict`` copies what it is given.
+    changes nothing, ``step_count`` included.
     """
 
     def __init__(self, params: dict, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -122,34 +121,6 @@ class Adam:
             1 - self.beta2**t,
         )
         self.step_count = t
-
-    def state_dict(self):
-        return {
-            "step": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        """Copy ``state`` in; ValueError if its moments do not match the
-        parameters by name and shape."""
-        moments = {}
-        for key in ("m", "v"):
-            given = {k: np.array(a, dtype=np.float64, order="C") for k, a in state[key].items()}
-            if given.keys() != self.params.keys():
-                raise ValueError(
-                    f"optimizer state {key!r} names {sorted(given)} "
-                    f"differ from the parameters' {sorted(self.params)}"
-                )
-            for k, a in given.items():
-                if a.shape != self.params[k].shape:
-                    raise ValueError(
-                        f"optimizer state {key}[{k!r}] has shape {a.shape}, "
-                        f"the parameter {self.params[k].shape}"
-                    )
-            moments[key] = {k: given[k] for k in self.params}
-        self.step_count = state["step"]
-        self.m, self.v = moments["m"], moments["v"]
 
 
 GRAD_CHECK_STEP = 1e-5  # the central difference's step h

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gedraft import cli
@@ -487,3 +488,63 @@ def test_eval_of_a_directory_exits_2(workspace, tmp_path, capsys):
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert str(tmp_path) in captured.err and "Traceback" not in captured.err
+
+
+def test_eval_refuses_a_repeated_k(workspace, capsys):
+    # each repeat would add into the same P@k sum
+    code = main(
+        [
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", str(workspace["checkpoint"]), "--k", "3", "--k", "3",
+        ]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "repeated P@k cutoff" in captured.err and captured.out == ""
+
+
+def test_resat_refuses_a_repeated_name(workspace, tmp_path, capsys, no_probing):
+    out = tmp_path / "resat.json"
+    ckpt = workspace["checkpoint"]
+    code = main(
+        [
+            "resat", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", f"abs={ckpt}", "--checkpoint", f"abs={ckpt}",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "'abs' twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverged_training_exits_3_and_writes_nothing(workspace, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code = train_with(
+            workspace, tmp_path, "--lr", "1e200", "--hidden", "8", "--layers", "1", "--epochs", "3"
+        )
+    assert code == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "h.json").exists()
+
+
+def test_non_finite_gradient_check_exits_3(monkeypatch, capsys):
+    from gedraft import autodiff as ad
+
+    huge = ad.Tensor(np.array([1e308]), requires_grad=True)
+    cases = {"overflow": (lambda a: ad.reduce_sum(ad.mul(a, a)), [huge])}
+    monkeypatch.setattr(cli, "_gradcheck_cases", lambda: cases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["gradcheck"]) == EXIT_NUMERIC
+    assert "non-finite finite-difference value" in capsys.readouterr().err
+
+
+def test_checkpoint_with_an_optimizer_section_exits_2(workspace, tmp_path, capsys):
+    # a checkpoint is the model only: Adam's state is never read back
+    doc = json.loads(workspace["checkpoint"].read_text())
+    doc["optimizer"] = {"step": 0, "m": doc["params"], "v": doc["params"]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--dataset", str(workspace["dataset"]), "--checkpoint", str(path)])
+    assert code == EXIT_USAGE
+    assert "unknown top-level keys: ['optimizer']" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from gedraft.encoder import READOUTS
 from gedraft.fusion import VARIANTS
 from gedraft.graphs import Graph
 from gedraft.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from gedraft.optim import Adam
 from gedraft.synth import build_dataset
 
 SETTINGS = settings(
@@ -70,10 +69,9 @@ def checkpoint_docs(draw):
         fusion=draw(st.sampled_from(VARIANTS)), ntn_slices=2, seed=draw(st.integers(0, 3)),
     )
     params = init_params(cfg)
-    state = Adam(params).state_dict() if draw(st.booleans()) else None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
-        save_checkpoint(params, cfg, path, optimizer_state=state)
+        save_checkpoint(params, cfg, path)
         return json.loads(path.read_text())
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import json
 
@@ -203,20 +204,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert params_equal(params, loaded)
 
 
-def test_checkpoint_optimizer_state_roundtrip(tmp_path):
-    from gedraft.optim import Adam
-
-    params = init_params(CFG)
-    opt = Adam(params)
-    state = opt.state_dict()
-    state["m"]["regressor.W1"][:] = 0.125
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, CFG, path, optimizer_state=state)
-    _, _, loaded = load_checkpoint(path)
-    assert loaded["step"] == 0
-    assert np.array_equal(loaded["m"]["regressor.W1"], state["m"]["regressor.W1"])
-
-
 def test_checkpoint_rejects_bad_version(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(init_params(CFG), CFG, path)
@@ -279,6 +266,16 @@ def _edit(*path, value=DROP):
     return edit
 
 
+def _with_optimizer(*path, value=DROP):
+    """An edit that adds an Adam section (step count and moments of the
+    parameters' shapes) and then, given a path into it, ``_edit``s it."""
+    def edit(doc):
+        doc["optimizer"] = {"step": 0, **{k: copy.deepcopy(doc["params"]) for k in "mv"}}
+        return _edit("optimizer", *path, value=value)(doc) if path else doc
+
+    return edit
+
+
 MALFORMED_CHECKPOINTS = {
     "not an object": lambda doc: [1],
     "version only": lambda doc: {"version": "1"},
@@ -303,21 +300,23 @@ MALFORMED_CHECKPOINTS = {
     "non-finite value": _edit("params", "regressor.b3", "values", value=[float("nan")]),
     "value beyond double range": _edit("params", "regressor.b3", "values", value=[10**400]),
     "record not an object": _edit("params", "regressor.b3", value=0),
+    "params not an object": _edit("params", value=[SCALAR]),
+    # a checkpoint is the model only, so an optimizer section is refused
+    # whole, the malformed ones included
+    "optimizer section": _with_optimizer(),
     "optimizer without moments": _edit("optimizer", value={"step": 0}),
-    "optimizer with boolean step": _edit("optimizer", "step", value=True),
-    "optimizer moment missing": _edit("optimizer", "m", "regressor.b3"),
-    "optimizer moment misshapen": _edit("optimizer", "v", "regressor.b3", value=SCALAR),
-    "optimizer moment extra": _edit("optimizer", "m", "bogus", value=SCALAR),
+    "optimizer with boolean step": _with_optimizer("step", value=True),
+    "optimizer moment missing": _with_optimizer("m", "regressor.b3"),
+    "optimizer moment misshapen": _with_optimizer("v", "regressor.b3", value=SCALAR),
+    "optimizer moment extra": _with_optimizer("m", "bogus", value=SCALAR),
+    "unknown top-level key": _edit("notes", value="x"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
 def test_checkpoint_rejects_malformed_documents(tmp_path, name):
-    from gedraft.optim import Adam
-
-    params = init_params(CFG)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(params, CFG, path, optimizer_state=Adam(params).state_dict())
+    save_checkpoint(init_params(CFG), CFG, path)
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(MALFORMED_CHECKPOINTS[name](doc)))
     with pytest.raises(CheckpointError):

@@ -38,57 +38,6 @@ def test_adam_skips_params_without_grad():
     assert y.values[0] == 1.0
 
 
-def test_adam_state_roundtrip():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = Adam({"x": x}, lr=0.01)
-    for _ in range(3):
-        opt.zero_grad()
-        backward(ad.reduce_sum(ad.mul(x, x)))
-        opt.step()
-    state = opt.state_dict()
-    clone = Adam({"x": x}, lr=0.01)
-    clone.load_state_dict(state)
-    assert clone.step_count == 3
-    assert np.array_equal(clone.m["x"], opt.m["x"])
-    assert np.array_equal(clone.v["x"], opt.v["x"])
-
-
-def test_adam_step_after_load_leaves_loaded_state_unchanged():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = Adam({"x": x}, lr=0.01)
-    backward(ad.reduce_sum(ad.mul(x, x)))
-    opt.step()
-    state = opt.state_dict()
-    before = {key: state[key]["x"].copy() for key in ("m", "v")}
-    clone = Adam({"x": x}, lr=0.01)
-    clone.load_state_dict(state)
-    for _ in range(3):
-        clone.zero_grad()
-        backward(ad.reduce_sum(ad.mul(x, x)))
-        clone.step()
-    assert not np.array_equal(clone.m["x"], before["m"])
-    for key in ("m", "v"):
-        assert state[key]["x"].tobytes() == before[key].tobytes()
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"m": {}, "v": {"x": np.zeros(2)}},
-        {"m": {"x": np.zeros(2), "y": np.zeros(2)}, "v": {"x": np.zeros(2)}},
-        {"m": {"x": np.zeros(2)}, "v": {"x": np.zeros(3)}},
-        {"m": {"x": np.zeros((2, 1))}, "v": {"x": np.zeros(2)}},
-    ],
-)
-def test_adam_load_refuses_mismatched_state(bad):
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = Adam({"x": x})
-    with pytest.raises(ValueError):
-        opt.load_state_dict({"step": 4, **bad})
-    assert opt.step_count == 0
-    assert opt.m["x"].shape == (2,) and opt.v["x"].shape == (2,)
-
-
 class AllocatingAdam:
     """The allocating Adam step that Adam.step replaced, kept as the
     reference its in-place arithmetic must match bit for bit."""
@@ -233,7 +182,7 @@ def test_refused_adam_step_changes_nothing(kernel_step, monkeypatch):
     opt = Adam({"x": x, "y": y}, lr=0.1)
     backward(ad.reduce_sum(ad.mul(x, x)))
     opt.step()
-    state = opt.state_dict()
+    moments = {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in ("x", "y")}
     values = (x.values.tobytes(), y.values.tobytes())
     backward(ad.reduce_sum(ad.mul(x, x)))
     y.grad = np.ones(2, dtype=np.float32)
@@ -241,9 +190,7 @@ def test_refused_adam_step_changes_nothing(kernel_step, monkeypatch):
         opt.step()
     assert opt.step_count == 1
     assert (x.values.tobytes(), y.values.tobytes()) == values
-    for k in ("x", "y"):
-        assert opt.m[k].tobytes() == state["m"][k].tobytes()
-        assert opt.v[k].tobytes() == state["v"][k].tobytes()
+    assert {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in ("x", "y")} == moments
 
 
 def test_adam_steps_a_leaf_used_through_a_transpose(kernel_step, monkeypatch):
@@ -276,40 +223,6 @@ def test_training_bits_do_not_depend_on_the_adam_kernel(tiny_dataset, c_adam, mo
     for k in best_c:
         assert best_c[k].values.tobytes() == best_np[k].values.tobytes(), k
     assert hist_c == hist_np
-
-
-def test_adam_load_state_in_another_order_continues_the_same_steps():
-    shapes = {"a": (3,), "b": (2, 2), "c": ()}
-    rng = np.random.default_rng(2)
-    start = {k: rng.normal(size=s) for k, s in shapes.items()}
-    grads = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(5)]
-
-    def run(opt, tensors, steps):
-        for g in steps:
-            for k, t in tensors.items():
-                t.grad = g[k].copy()
-            opt.step()
-
-    whole = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
-    opt = Adam(whole, lr=0.05)
-    run(opt, whole, grads)
-    split = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
-    first = Adam(split, lr=0.05)
-    run(first, split, grads[:3])
-    state = first.state_dict()
-    # names in reverse order, and the moments in Fortran order
-    state = {
-        "step": state["step"],
-        "m": {k: np.asarray(state["m"][k], order="F") for k in reversed(shapes)},
-        "v": {k: np.asarray(state["v"][k], order="F") for k in reversed(shapes)},
-    }
-    second = Adam(split, lr=0.05)
-    second.load_state_dict(state)
-    run(second, split, grads[3:])
-    assert second.step_count == opt.step_count == 5
-    for k in shapes:
-        assert split[k].values.tobytes() == whole[k].values.tobytes(), k
-        assert second.m[k].tobytes() == opt.m[k].tobytes(), k
 
 
 def test_zero_grad():
