@@ -16,10 +16,12 @@ operands are summed back to their shape. Anything else is a shape error.
 The tape is the ``_parents`` links of op outputs. An op records only the
 operands that require a gradient (a leaf made with ``requires_grad=True``,
 or an op output that recorded a parent), so constants are never on the tape
-and an op on constants alone records nothing: passing parameters as
-``Tensor(t.values)`` runs the model without building a tape. ``backward``
-walks the recorded links and accumulates ``.grad`` on the leaves that
-require a gradient.
+and an op on constants alone records nothing, not even its backward
+function: passing parameters as ``Tensor(t.values)`` runs the model without
+building a tape. Every recorded node has one ``_backward(g)``, which yields
+its parents' gradient contributions in the order of ``_parents``.
+``backward`` walks the recorded links and accumulates ``.grad`` on the
+leaves that require a gradient.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad", "_parents")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()  # tuple of (Tensor, grad_fn)
+        self._parents = ()  # the operands that require a gradient
+        self._backward = None  # g -> their contributions, in that order
 
     @property
     def shape(self):
@@ -82,13 +85,20 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(values, parents):
-    """An op output whose tape holds the (operand, grad_fn) pairs of the
-    operands that require a gradient."""
-    parents = tuple((p, fn) for p, fn in parents if p.requires_grad)
+def _node(values, parents, backward_fn) -> Tensor:
+    """An op output on the tape when ``parents`` is not empty."""
     out = Tensor(values, requires_grad=bool(parents))
-    out._parents = parents
+    if parents:
+        out._parents, out._backward = tuple(parents), backward_fn
     return out
+
+
+def _make(values, parents):
+    """An op output whose tape holds the operands of the (operand, grad_fn)
+    pairs that require a gradient; its ``_backward`` yields their
+    ``grad_fn(g)`` one at a time."""
+    recorded = [(p, fn) for p, fn in parents if p.requires_grad]
+    return _node(values, [p for p, _ in recorded], lambda g: (fn(g) for _, fn in recorded))
 
 
 def fused(values, inputs, grads) -> Tensor:
@@ -101,22 +111,12 @@ def fused(values, inputs, grads) -> Tensor:
     bits.
     """
     recorded = [k for k, t in enumerate(inputs) if t.requires_grad]
-    pending = {}
 
-    def contribution(k):
-        def fn(g):
-            # backward calls the parents' functions in order, one node at a
-            # time: the first computes every contribution, the last drops them
-            if k == recorded[0]:
-                pending["grads"] = grads(g)
-            out = pending["grads"][k]
-            if k == recorded[-1]:
-                del pending["grads"]
-            return out
+    def backward_fn(g):
+        contributions = grads(g)
+        return [contributions[k] for k in recorded]
 
-        return fn
-
-    return _make(values, [(inputs[k], contribution(k)) for k in recorded])
+    return _node(values, [inputs[k] for k in recorded], backward_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -135,7 +135,7 @@ def backward(loss: Tensor) -> None:
         while stack:
             node, it = stack[-1]
             advanced = False
-            for parent, _ in it:
+            for parent in it:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append((parent, iter(parent._parents)))
@@ -157,8 +157,8 @@ def backward(loss: Tensor) -> None:
                 node.grad = np.add(g, 0.0, order="C")
             else:
                 node.grad = np.add(node.grad, g, order="C")
-        for parent, fn in node._parents:
-            contrib = fn(g)
+            continue
+        for parent, contrib in zip(node._parents, node._backward(g)):
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + contrib

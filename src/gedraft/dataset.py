@@ -10,8 +10,8 @@ File layout::
 
 Edges are sorted (u < v, then lexicographic). Floats are written in
 shortest round-trip form, so a round-trip is bit-exact; an integral float
-below 1e17 in magnitude is written as an integer (``1.0`` as ``1``). NaN
-and infinities cannot be written.
+below 1e17 in magnitude is written as an integer (``1.0`` as ``1``). NaN,
+infinities and numbers beyond double range can be neither written nor read.
 
 The file is the output of ``json.dump(dataset_to_json(ds), fh, indent=1)``
 followed by a newline, byte for byte. ``write_dataset`` fills that layout
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -111,10 +112,13 @@ class Dataset:
                 continue  # two empty graphs, reported above
             want_nged = p.ged / ((si[0] + sj[0]) / 2)
             # written so that NaN fails; sim is checked once nged is sane
-            if not abs(p.nged - want_nged) <= _LABEL_TOL:
-                violations.append(f"pair {idx}: nged inconsistent with ged")
-            elif not abs(p.sim - math.exp(-p.nged)) <= _LABEL_TOL:
-                violations.append(f"pair {idx}: sim != exp(-nged)")
+            try:
+                if not abs(p.nged - want_nged) <= _LABEL_TOL:
+                    violations.append(f"pair {idx}: nged inconsistent with ged")
+                elif not abs(p.sim - math.exp(-p.nged)) <= _LABEL_TOL:
+                    violations.append(f"pair {idx}: sim != exp(-nged)")
+            except OverflowError:  # an int beyond double range
+                violations.append(f"pair {idx}: nged or sim beyond double range")
         return violations
 
 
@@ -178,8 +182,10 @@ def _pair_from_json(rec) -> PairRecord:
         raise ValueError(f"ged {rec['ged']!r} is not an integer")
     for key in ("nged", "sim"):
         x = rec[key]
-        if type(x) not in (int, float) or not math.isfinite(x):
-            raise ValueError(f"{key} {x!r} is not a finite number")
+        # not math.isfinite, which raises OverflowError on a JSON integer
+        # beyond double range; NaN fails too
+        if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            raise ValueError(f"{key} {x!r} is not a finite number in double range")
     return PairRecord(
         rec["i"], rec["j"], rec["ged"], float(rec["nged"]), float(rec["sim"]), rec["split"]
     )

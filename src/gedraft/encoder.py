@@ -218,14 +218,13 @@ def readout(x, kind: str, weight=None, mask=None) -> Tensor:
 
 
 def distinct_graphs(graphs: list[Graph]) -> tuple[list[Graph], list[int]]:
-    """Distinct-id graphs in first-seen order, and each input's row among them."""
-    rows: dict[str, int] = {}
-    unique: list[Graph] = []
-    for g in graphs:
-        if g.id not in rows:
-            rows[g.id] = len(unique)
-            unique.append(g)
-    return unique, [rows[g.id] for g in graphs]
+    """The distinct graph objects in first-seen order, and each input's row
+    among them. Keyed on the object, not on ``Graph.id``, which two graphs
+    may share (RESAT's subgraphs do); ``graphs`` keeps every object alive,
+    so no key is reused."""
+    unique = {id(g): g for g in graphs}
+    rows = {key: row for row, key in enumerate(unique)}
+    return list(unique.values()), [rows[id(g)] for g in graphs]
 
 
 def pad_batch(graphs: list[Graph], alphabet_size: int):

@@ -50,6 +50,7 @@ except ImportError:  # built without a C compiler
     BACKEND = "python"
 
 DEFAULT_BUDGET = 5_000_000
+MAX_BUDGET = 2**63 - 1  # the C kernel counts expansions in a long long
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,11 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
 
     The kernel's cost is checked against the edits its assignment implies;
     the path itself is built only when the result's ``path`` or ``mapping``
-    is read.
+    is read. ValueError, before either kernel runs, for a budget that is not
+    an ``int`` (a bool is not) in 0..MAX_BUDGET.
     """
+    if type(budget) is not int or not 0 <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be an integer in 0..{MAX_BUDGET}, got {budget!r}")
     require_valid(g1)
     require_valid(g2)
     labels1, labels2 = g1.labels, g2.labels

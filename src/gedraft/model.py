@@ -130,7 +130,7 @@ def fused_pair_embedding(scales_i, scales_j, params: dict, cfg: ModelConfig) -> 
 def forward_pairs(pairs: list[tuple[Graph, Graph]], params: dict, cfg: ModelConfig) -> Tensor:
     """Predicted similarities for a batch of graph pairs, shape (B,).
 
-    Each distinct graph in the batch is encoded once.
+    Each distinct graph object in the batch is encoded once.
     """
     graphs, rows = enc.distinct_graphs([g for pair in pairs for g in pair])
     scales = enc.encode_graphs(graphs, params, cfg)

@@ -10,7 +10,7 @@ difference information the fusion output retains. Lower is better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,32 +76,25 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     """Frozen-model embeddings for probing.
 
     Returns {"fused": (n, fused_dim), "target": (n, (K+1)*hidden)} and,
-    for the diffatt variant, additionally "pre_attention": the concat of
-    the raw per-scale embedding pairs before attention rescaling. The model
-    runs on frozen parameters, so no autodiff tape is built.
+    for the diffatt variant, additionally "pre_attention": the ``none``
+    fusion of the same per-scale encodings, the concat of the raw
+    embedding pairs before attention rescaling. Each distinct graph is
+    encoded once, in one batch; the model runs on frozen parameters, so no
+    autodiff tape is built.
     """
     params = frozen(params)
-    bases = [t.base for t in triples]
-    subs = [t.extraction.subgraph for t in triples]
-    rems = [t.remaining for t in triples]
-    # one encoding pass over each distinct base, then every subgraph and
-    # every remainder by position
-    glist, idx_base = distinct_graphs(bases)
-    idx_sub = list(range(len(glist), len(glist) + len(subs)))
-    idx_rem = [i + len(subs) for i in idx_sub]
-    glist += subs + rems
-    scales = encode_graphs(glist, params, cfg)
-    scales_i = [ad.index_rows(s, idx_base) for s in scales]
-    scales_j = [ad.index_rows(s, idx_sub) for s in scales]
-    fused = fused_pair_embedding(scales_i, scales_j, params, cfg)
-    target = ad.concat([ad.index_rows(s, idx_rem) for s in scales], axis=-1)
-    out = {"fused": fused.values.copy(), "target": target.values.copy()}
+    n = len(triples)
+    graphs, rows = distinct_graphs([t.base for t in triples]
+                                   + [t.extraction.subgraph for t in triples]
+                                   + [t.remaining for t in triples])
+    scales = encode_graphs(graphs, params, cfg)
+    base, sub, rem = ([ad.index_rows(s, rows[k * n:(k + 1) * n]) for s in scales]
+                      for k in range(3))
+    out = {"fused": fused_pair_embedding(base, sub, params, cfg).values.copy(),
+           "target": ad.concat(rem, axis=-1).values.copy()}
     if cfg.fusion == "diffatt":
-        pre = ad.concat(
-            [ad.concat([hi, hj], axis=-1) for hi, hj in zip(scales_i, scales_j)],
-            axis=-1,
-        )
-        out["pre_attention"] = pre.values.copy()
+        no_fusion = replace(cfg, fusion="none")
+        out["pre_attention"] = fused_pair_embedding(base, sub, params, no_fusion).values.copy()
     return out
 
 
@@ -192,31 +185,20 @@ def resat_compare(
         raise ValueError("no variants to compare")
     if not seeds:
         raise ValueError("no probe seeds: the mean RESAT MSE of none is undefined")
+
+    def mean_mse(inputs, targets):
+        return float(np.mean([resat_probe(inputs, targets, s, epochs=probe_epochs)
+                              for s in seeds]))
+
     rows = []
     for name, (params, cfg) in variants.items():
         before = copy_params(params)
         emb = probe_embeddings(params, cfg, triples)
         gsc = evaluate(params, cfg, dataset, ks=()).mse_e3
-        after = float(
-            np.mean(
-                [
-                    resat_probe(emb["fused"], emb["target"], s, epochs=probe_epochs)
-                    for s in seeds
-                ]
-            )
-        )
-        row = {"variant": name, "gsc_mse_e3": gsc, "resat_mse": after}
+        row = {"variant": name, "gsc_mse_e3": gsc,
+               "resat_mse": mean_mse(emb["fused"], emb["target"])}
         if "pre_attention" in emb:
-            row["resat_mse_before"] = float(
-                np.mean(
-                    [
-                        resat_probe(
-                            emb["pre_attention"], emb["target"], s, epochs=probe_epochs
-                        )
-                        for s in seeds
-                    ]
-                )
-            )
+            row["resat_mse_before"] = mean_mse(emb["pre_attention"], emb["target"])
         if not params_equal(before, params):
             raise RuntimeError(f"probing mutated parameters of variant {name!r}")
         rows.append(row)

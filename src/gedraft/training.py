@@ -49,6 +49,12 @@ def validation_loss(params, cfg, graphs, sims) -> float:
     return float(((predict(graphs, params, cfg) - sims) ** 2).mean())
 
 
+def _finite(loss: float, what: str, step: int) -> float:
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"training diverged: non-finite {what} loss {loss} at step {step}")
+    return loss
+
+
 def validation_steps(total_steps: int, cfg: TrainConfig):
     first = max(1, int(np.ceil(total_steps * (1 - cfg.val_window))))
     pts = np.linspace(first, total_steps, cfg.validations)
@@ -59,7 +65,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset, quiet=True):
     """Returns (best_params, history).
 
     history: {"train_loss": [(step, loss)], "val_loss": [(step, loss)],
-    "best_step": int}.
+    "best_step": int}. FloatingPointError, naming the step, at the first
+    training or validation loss that is not finite.
     """
     train_graphs, train_sims = _pair_views(dataset, "train")
     val_graphs, val_sims = _pair_views(dataset, "val")
@@ -88,12 +95,13 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset, quiet=True):
             sims = train_sims[idx]
             opt.zero_grad()
             loss = batch_loss(batch, sims, params, model_cfg)
+            step += 1
+            history["train_loss"].append((step, _finite(float(loss.values), "training", step)))
             backward(loss)
             opt.step()
-            step += 1
-            history["train_loss"].append((step, float(loss.values)))
             if step in val_at:
                 vloss = validation_loss(params, model_cfg, val_graphs, val_sims)
+                _finite(vloss, "validation", step)
                 history["val_loss"].append((step, vloss))
                 if best_loss is None or vloss < best_loss:
                     best_loss = vloss

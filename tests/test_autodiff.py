@@ -228,7 +228,17 @@ def test_ops_on_constants_record_no_tape():
     assert not out.requires_grad and out._parents == ()
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     mixed = ad.mul(c1, x)
-    assert mixed.requires_grad and [p for p, _ in mixed._parents] == [x]
+    assert mixed.requires_grad and mixed._parents == (x,)
+
+
+def test_nodes_on_constants_keep_no_backward_function():
+    # a backward function over constants would keep their block's
+    # intermediates alive for as long as the output lives
+    c = Tensor(np.ones((2, 3)))
+    elementary = ad.relu(c)
+    block = ad.fused(np.zeros(()), [c, c], lambda g: [g, g])
+    for out in (elementary, block):
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 def test_backward_of_a_constant_root_does_nothing():
@@ -265,7 +275,7 @@ def test_one_training_step_records_23_tape_nodes():
     while stack:
         node = stack.pop()
         ops += bool(node._parents)
-        for parent, _ in node._parents:
+        for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
@@ -278,6 +288,15 @@ def test_fused_node_adds_repeated_inputs_in_list_order():
     parts = [np.array(1e16), np.array(1.0), np.array(-1e16)]
     backward(ad.fused(np.zeros(()), [x, x, x], lambda g: parts))
     assert float(x.grad) == (1e16 + 1.0) - 1e16
+
+
+def test_fused_node_hands_each_recorded_input_its_own_entry():
+    # the constants' entries are skipped, not handed to the next input
+    x, y, c = (Tensor(np.zeros(()), requires_grad=True), Tensor(np.zeros(()), requires_grad=True),
+               Tensor(np.zeros(())))
+    parts = [np.array(1.0), np.array(10.0), np.array(100.0), np.array(1000.0)]
+    backward(ad.fused(np.zeros(()), [c, x, c, y], lambda g: parts))
+    assert (float(x.grad), float(y.grad)) == (10.0, 1000.0)
 
 
 def test_deep_graph_backward_is_iterative():

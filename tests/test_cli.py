@@ -528,6 +528,45 @@ def test_diverged_training_exits_3_and_writes_nothing(workspace, tmp_path, capsy
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "h.json").exists()
 
 
+def test_training_that_diverges_after_its_first_validation_exits_3(tmp_path, capsys):
+    # every validation loss is NaN; the best step was the first, and the
+    # history held bare NaN tokens, which are not JSON
+    ds = tmp_path / "ds.json"
+    assert main(["gen", "--n-graphs", "12", "--n-min", "3", "--n-max", "4", "--out", str(ds)]) == EXIT_OK
+    with np.errstate(all="ignore"):
+        code = train_with(
+            {"dataset": ds}, tmp_path, "--hidden", "8", "--layers", "1", "--epochs", "30",
+            "--batch-size", "8", "--lr", "1000", config="[train]\nval_window = 1.0\n",
+        )
+    assert code == EXIT_NUMERIC
+    assert "non-finite validation loss nan at step 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("field", ["nged", "sim"])
+def test_dataset_number_beyond_double_range_exits_2(workspace, tmp_path, capsys, field):
+    doc = json.loads(workspace["dataset"].read_text())
+    doc["pairs"][0][field] = 10**400
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["eval", "--dataset", str(path), "--checkpoint", str(workspace["checkpoint"])],
+                 ["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")]):
+        assert main(argv) == EXIT_USAGE
+        assert f"pair 0: malformed record ({field} 1000" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("budget", ["-1", str(2**63), "100000000000000000000000"])
+def test_budget_outside_0_to_2_63_exits_2(tmp_path, capsys, budget):
+    a = write_graph(tmp_path / "a.json", "a", [0, 1, 0], [[0, 1], [1, 2]])
+    b = write_graph(tmp_path / "b.json", "b", [1, 1], [[0, 1]])
+    out = tmp_path / "ds.json"
+    assert main(["ged", "--a", a, "--b", b, "--budget", budget]) == EXIT_USAGE
+    assert main(["gen", "--n-graphs", "4", "--budget", budget, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.count("budget must be an integer in 0..9223372036854775807") == 2
+
+
 def test_non_finite_gradient_check_exits_3(monkeypatch, capsys):
     from gedraft import autodiff as ad
 

@@ -113,6 +113,9 @@ def _with_graph(ds, labels=None, edges=None):
         (lambda ds: _with_pair(ds, i=["a"]), r"pair 0: graph ids \['a'\], 'b' must be strings"),
         (lambda ds: _with_pair(ds, nged="0.8"), "pair 0: nged and sim must be numbers"),
         (lambda ds: _with_pair(ds, sim=None), "pair 0: nged and sim must be numbers"),
+        # validate raised OverflowError on these
+        (lambda ds: _with_pair(ds, nged=10**400), "pair 0: nged or sim beyond double range"),
+        (lambda ds: _with_pair(ds, sim=10**400), "pair 0: nged or sim beyond double range"),
         (lambda ds: Dataset((0, 1, 2), ds.graphs, ds.pairs), "alphabet must be a list of strings"),
         (lambda ds: _with_graph(ds, labels=(0, True, 2)),
          "graph 'b': label True of node 1 is not a non-negative integer"),
@@ -189,6 +192,8 @@ def test_edges_written_sorted(small_ds):
         (lambda d: d["pairs"][0].update(sim=math.inf), "pair 0"),
         (lambda d: d["pairs"][0].update(ged=-2, nged=-0.8, sim=math.exp(0.8)), "ged -2"),
         (lambda d: d["pairs"][0].update(ged=10**400), "outside"),
+        (lambda d: d["pairs"][0].update(nged=10**400), "pair 0: malformed record \\(nged 1000"),
+        (lambda d: d["pairs"][0].update(sim=-10**400), "pair 0: malformed record \\(sim -1000"),
         (lambda d: d["pairs"][0].update(nged=-1e308), "nged inconsistent"),
     ],
 )

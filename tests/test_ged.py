@@ -346,6 +346,18 @@ def test_ged_exact_rejects_bad_input_on_both_kernels(kernel, monkeypatch):
     assert ged_exact(ok, ok).cost == 0
 
 
+@pytest.mark.parametrize("budget", [-1, 2**63, 10**23, True, 5.0, "5"])
+def test_ged_exact_rejects_a_budget_outside_0_to_2_63_on_both_kernels(kernel, monkeypatch, budget):
+    # the C kernel took the budget as a long long and raised OverflowError
+    # above 2**63 - 1, where the pure-Python kernel searched on
+    monkeypatch.setattr(core, "_kernel", kernel)
+    a = G.Graph.make("a", [0, 1, 0], [(0, 1), (1, 2)])
+    b = G.Graph.make("b", [1, 1], [(0, 1)])
+    with pytest.raises(ValueError, match=r"budget must be an integer in 0\.\.9223372036854775807"):
+        ged_exact(a, b, budget)
+    assert ged_exact(a, b, 2**63 - 1).cost == 3
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -151,6 +151,19 @@ def test_forward_deterministic_and_batched_consistent():
     assert np.allclose(batched, singles, atol=1e-12)
 
 
+def test_predict_scores_two_graphs_that_share_an_id_apart():
+    # rows are deduplicated by graph object: keyed on the id, both pairs
+    # scored the first "x"
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2)
+    params = init_params(cfg)
+    g = generate_er(6, 0.5, 3, seed=1, gid="g")
+    a = generate_er(4, 0.5, 3, seed=2, gid="x")
+    b = generate_er(7, 0.6, 3, seed=3, gid="x")
+    together = predict([(g, a), (g, b)], params, cfg)
+    apart = [predict([pair], params, cfg)[0] for pair in ((g, a), (g, b))]
+    assert np.allclose(together, apart, atol=1e-12) and abs(apart[0] - apart[1]) > 1e-3
+
+
 def test_predict_builds_no_tape_and_matches_a_taped_run(tiny_dataset, monkeypatch):
     from gedraft import metrics
 

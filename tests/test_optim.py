@@ -245,7 +245,8 @@ def test_grad_check_catches_wrong_gradient():
     def wrong_square(t):
         out = ad.Tensor(t.values**2)
         out.requires_grad = True
-        out._parents = ((t, lambda g: g),)  # should be g * 2x
+        out._parents = (t,)
+        out._backward = lambda g: [g]  # should be g * 2x
         return out
 
     err = grad_check(lambda t: ad.reduce_sum(wrong_square(t)), [x])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,28 @@ def test_resat_compare_refuses_a_probe_that_mutates_parameters(tiny_dataset, mon
 def test_resat_compare_rejects_empty():
     with pytest.raises(ValueError):
         resat_compare({}, None, [])
+
+
+# sha256 over each probe_embeddings array's name, shape and bytes, in name
+# order, for 18 triples of six 6-node graphs at hidden 8, 2 layers and seed 0,
+# with NumPy's OpenBLAS on one thread. Probing must see the model's own
+# embeddings, bit for bit.
+EMBEDDING_DIGESTS = {
+    ("diffatt", "gca"): "eb6e72789260ab5007cd069974abdff4a2c9da6abf5048b8309cad76ce1f385c",
+    ("abs", "mean"): "9dda12d78462fec05f73bbf31f9719b8169cb2528c8e48618f6790c62eb952e0",
+}
+
+
+@pytest.mark.parametrize("fusion, readout", sorted(EMBEDDING_DIGESTS))
+def test_probe_embeddings_digest_is_pinned(fusion, readout):
+    triples, _ = build_resat_dataset(some_graphs(6), per_graph=3, seed=2)
+    assert len(triples) == 18
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout=readout, fusion=fusion, seed=0)
+    emb = probe_embeddings(init_params(cfg), cfg, triples)
+    h = hashlib.sha256()
+    for name in sorted(emb):
+        h.update(name.encode() + b"\0" + repr(emb[name].shape).encode() + b"\0" + emb[name].tobytes())
+    assert h.hexdigest() == EMBEDDING_DIGESTS[fusion, readout]
 
 
 def test_probe_embeddings_builds_no_tape(monkeypatch):
