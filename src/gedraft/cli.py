@@ -4,7 +4,10 @@ Subcommands: gen, ged, train, eval, resat, gradcheck. Exit codes: 0 on
 success, 2 on usage errors (a bad flag value, config, dataset or checkpoint,
 or a file that cannot be read or written), 3 on numeric failure (gradient
 check above tolerance or non-finite, edit-distance budget exhausted, diverged
-training).
+training, a report with a non-finite number).
+
+A flag that a library call takes has the dest ``call.parameter``; a flag
+left out takes that call's default, and the call checks the value.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .config import ConfigError, load_config, parse_temperature
 from .dataset import read_dataset, write_dataset
 from .encoder import LAYER_PARAMS, READOUTS, enhanced_layer, readout
 from .fusion import ATTENTION_PARAMS, VARIANTS, diffatt_pair
-from .ged import BACKEND, DEFAULT_BUDGET, GedBudgetExceeded, ged_exact
+from .ged import BACKEND, GedBudgetExceeded, ged_exact
 from .graphs import Graph, require_valid
 from .metrics import evaluate
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -54,19 +57,27 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _finite(doc):
+    """doc, or FloatingPointError if it holds a non-finite number, which JSON
+    has no token for."""
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError(f"non-finite number in the report {json.dumps(doc)}") from None
+    return doc
+
+
+def _given(args, call) -> dict:
+    """The flags given for a library call, by parameter name. A flag's dest
+    is ``call.parameter``; a flag left out is None, and takes the call's own
+    default."""
+    prefix = call + "."
+    return {dest.removeprefix(prefix): value for dest, value in vars(args).items()
+            if dest.startswith(prefix) and value is not None}
+
+
 def cmd_gen(args) -> int:
-    ds, report = build_dataset(
-        n_graphs=args.n_graphs,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        p=args.p,
-        alphabet_size=args.labels,
-        seed=args.seed,
-        train_frac=args.train_frac,
-        val_frac=args.val_frac,
-        pairs_per_graph=args.pairs_per_graph,
-        budget=args.budget,
-    )
+    ds, report = build_dataset(**_given(args, "gen"))
     write_dataset(ds, args.out)
     print(
         f"wrote {args.out}: {report.num_graphs} graphs, {report.num_pairs} pairs "
@@ -79,7 +90,7 @@ def cmd_gen(args) -> int:
 def cmd_ged(args) -> int:
     g1, g2 = read_graph(args.a), read_graph(args.b)
     try:
-        res = ged_exact(g1, g2, args.budget)
+        res = ged_exact(g1, g2, **_given(args, "ged"))
     except GedBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -88,13 +99,12 @@ def cmd_ged(args) -> int:
 
 
 def _run_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
-    """The config file's values, if one is given, under the flags given. A
-    flag's dest names its section and key."""
+    """The config file's values, if one is given, under the flags given."""
     cfg = load_config(args.config) if args.config else {"model": {}, "train": {}}
-    for dest, value in vars(args).items():
-        section, dot, key = dest.partition(".")
-        if dot and value is not None:
-            cfg[section][key] = parse_temperature(value) if key == "temperature" else value
+    for section, values in cfg.items():
+        values.update(_given(args, section))
+    if "temperature" in cfg["model"]:  # text when a flag gave it
+        cfg["model"]["temperature"] = parse_temperature(cfg["model"]["temperature"])
     model_cfg = ModelConfig(alphabet_size=len(dataset.alphabet), **cfg["model"])
     return model_cfg, TrainConfig(**cfg["train"])
 
@@ -110,11 +120,7 @@ def cmd_train(args) -> int:
             "train": train_cfg.__dict__,
             "dataset": args.dataset,
         },
-        "history": {
-            "train_loss": history["train_loss"],
-            "val_loss": history["val_loss"],
-            "best_step": history["best_step"],
-        },
+        "history": history,
         "backends": {"ged": BACKEND, "adam": ADAM_BACKEND},
     }
     if args.history:
@@ -138,14 +144,12 @@ def _load_model(path, dataset):
 def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     params, cfg = _load_model(args.checkpoint, dataset)
-    report = evaluate(params, cfg, dataset, ks=tuple(args.k or (10, 20)))
-    doc = {
-        "resolved_config": {"model": cfg.to_json(), "dataset": args.dataset},
-        "metrics": report.to_json(),
-    }
+    report = evaluate(params, cfg, dataset, **_given(args, "eval"))
+    metrics = _finite(report.to_json())
     if args.out:
-        _write_json(args.out, doc)
-    print(json.dumps(report.to_json()))
+        resolved = {"model": cfg.to_json(), "dataset": args.dataset}
+        _write_json(args.out, {"resolved_config": resolved, "metrics": metrics})
+    print(json.dumps(metrics))
     return EXIT_OK
 
 
@@ -162,26 +166,13 @@ def cmd_resat(args) -> int:
     test_ids = {p.i for p in dataset.split_pairs("test")}
     graphs = [g for g in dataset.graphs if g.id in test_ids]
     triples, skipped = build_resat_dataset(graphs, args.per_graph, args.seed)
-    report = resat_compare(
-        variants,
-        dataset,
-        triples,
-        seeds=tuple(range(args.probe_seeds)),
-        probe_epochs=args.probe_epochs,
-    )
+    report = resat_compare(variants, dataset, triples, seeds=tuple(range(args.probe_seeds)),
+                           probe_epochs=args.probe_epochs)
+    doc = _finite(report.to_json())
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "resolved_config": {
-                    "dataset": args.dataset,
-                    "per_graph": args.per_graph,
-                    "seed": args.seed,
-                    "skipped_graphs": skipped,
-                },
-                "report": report.to_json(),
-            },
-        )
+        resolved = {"dataset": args.dataset, "per_graph": args.per_graph, "seed": args.seed,
+                    "skipped_graphs": skipped}
+        _write_json(args.out, {"resolved_config": resolved, "report": doc})
     print(report.render())
     return EXIT_OK
 
@@ -288,23 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a labeled synthetic dataset")
-    g.add_argument("--n-graphs", type=int, required=True)
-    g.add_argument("--n-min", type=int, default=5)
-    g.add_argument("--n-max", type=int, default=8)
-    g.add_argument("--p", type=float, default=0.4)
-    g.add_argument("--labels", type=int, default=3)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n-graphs", type=int, required=True, dest="gen.n_graphs")
+    g.add_argument("--n-min", type=int, dest="gen.n_min")
+    g.add_argument("--n-max", type=int, dest="gen.n_max")
+    g.add_argument("--p", type=float, dest="gen.p")
+    g.add_argument("--labels", type=int, dest="gen.alphabet_size")
+    g.add_argument("--seed", type=int, dest="gen.seed")
     g.add_argument("--out", required=True)
-    g.add_argument("--train-frac", type=float, default=0.6)
-    g.add_argument("--val-frac", type=float, default=0.2)
-    g.add_argument("--pairs-per-graph", type=int, default=10)
-    g.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    g.add_argument("--train-frac", type=float, dest="gen.train_frac")
+    g.add_argument("--val-frac", type=float, dest="gen.val_frac")
+    g.add_argument("--pairs-per-graph", type=int, dest="gen.pairs_per_graph")
+    g.add_argument("--budget", type=int, dest="gen.budget")
     g.set_defaults(func=cmd_gen)
 
     d = sub.add_parser("ged", help="exact edit distance between two graph files")
     d.add_argument("--a", required=True)
     d.add_argument("--b", required=True)
-    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    d.add_argument("--budget", type=int, dest="ged.budget")
     d.set_defaults(func=cmd_ged)
 
     t = sub.add_parser("train", help="train a model on a dataset")
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dataset", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--out")
-    e.add_argument("--k", type=int, action="append", help="P@k cutoff, repeatable (default 10 and 20)")
+    e.add_argument("--k", type=int, action="append", dest="eval.ks", help="P@k cutoff, repeatable")
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("resat", help="remaining-subgraph alignment comparison")
@@ -356,7 +347,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        # a failure is reported by its error line, not by NumPy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # ConfigError, DatasetFormatError and CheckpointError are ValueErrors; a
     # diverged training and a non-finite gradient check, FloatingPointErrors
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import heapq
 
+MAX_NODES = 64  # node sets are 64-bit masks in the compiled kernel, _astar.c
+
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
@@ -88,12 +90,12 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     complete assignment found so far and its cost, or None for both when none
     was found yet.
 
-    Raises ValueError for a graph with more than 64 nodes (the compiled
+    Raises ValueError for a graph with more than MAX_NODES nodes (the compiled
     kernel's bitmask limit), a label outside 0..alphabet_size-1, or
     neighbour masks that are not those of a simple undirected graph.
     """
-    if n1 > 64 or n2 > 64:
-        raise ValueError(f"graphs must have at most 64 nodes, got {n1} and {n2}")
+    if n1 > MAX_NODES or n2 > MAX_NODES:
+        raise ValueError(f"graphs must have at most {MAX_NODES} nodes, got {n1} and {n2}")
     for lab in (*labels1, *labels2):
         if not 0 <= lab < alphabet_size:
             raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")

@@ -39,6 +39,7 @@ from functools import cached_property
 from itertools import permutations
 
 from ..graphs import Graph, require_valid
+from ._astar_py import MAX_NODES  # both kernels' limit on a graph's nodes
 
 try:
     from . import _astar as _kernel  # type: ignore[attr-defined]

@@ -33,7 +33,11 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        """ValueError for a seed that is not an ``int`` (a bool is not) in
+        0..2**64 - 1: a seed outside it would replay another seed's draws."""
+        if type(seed) is not int or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in 0..{_MASK64}, got {seed!r}")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import Dataset, PairRecord
 from .ged import DEFAULT_BUDGET, GedBudgetExceeded, ged_exact, nged, similarity
+from .ged.core import MAX_NODES
 from .graphs import Graph, generate_er, perturb
 from .rng import SplitMix64
 
@@ -48,25 +49,35 @@ def _label_pair(g1: Graph, g2: Graph, split: str, budget: int):
 
 def build_dataset(
     n_graphs: int,
-    n_min: int,
-    n_max: int,
-    p: float,
-    alphabet_size: int,
-    seed: int,
+    n_min: int = 5,
+    n_max: int = 8,
+    p: float = 0.4,
+    alphabet_size: int = 3,
+    seed: int = 0,
     train_frac: float = 0.6,
     val_frac: float = 0.2,
     pairs_per_graph: int = 10,
     budget: int = DEFAULT_BUDGET,
 ):
-    """Returns (Dataset, GenReport)."""
+    """Returns (Dataset, GenReport).
+
+    These are ``gedraft gen``'s options and defaults. ValueError for a bad
+    one; ``generate_er`` checks ``p`` and ``alphabet_size`` on graph 0,
+    ``SplitMix64`` the seed and ``ged_exact`` the budget.
+    """
     if n_graphs < 3:
         raise ValueError("need at least 3 graphs for the three splits")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    if n_max + PERTURB_MAX > MAX_NODES:
+        raise ValueError(
+            f"need n_max <= {MAX_NODES - PERTURB_MAX}: a perturbation adds up to "
+            f"{PERTURB_MAX} nodes, and exact labeling takes graphs of at most {MAX_NODES}"
+        )
     if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
         raise ValueError("train/val fractions must be positive and sum below 1")
+    if pairs_per_graph < 1:
+        raise ValueError(f"need pairs_per_graph >= 1, got {pairs_per_graph}")
     rng = SplitMix64(seed)
     graphs: list[Graph] = []
     for i in range(n_graphs):

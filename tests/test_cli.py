@@ -1,18 +1,26 @@
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gedraft import cli
 from gedraft.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from gedraft.dataset import read_dataset
+from gedraft.metrics import evaluate
 from gedraft.model import ModelConfig, load_checkpoint
 from gedraft.training import TrainConfig
 
@@ -428,10 +436,11 @@ def test_eval_rejects_k_below_one(workspace, capsys, k):
 
 
 def test_eval_defaults_to_p_at_10_and_20(workspace, monkeypatch):
+    # eval passes the --k flags it is given, and evaluate's default otherwise
     seen = []
 
-    def recording_evaluate(params, cfg, dataset, ks):
-        seen.append(ks)
+    def recording_evaluate(params, cfg, dataset, **kwargs):
+        seen.append(kwargs)
         raise ValueError("stop here")
 
     monkeypatch.setattr(cli, "evaluate", recording_evaluate)
@@ -439,7 +448,8 @@ def test_eval_defaults_to_p_at_10_and_20(workspace, monkeypatch):
             "--checkpoint", str(workspace["checkpoint"])]
     assert main(args) == EXIT_USAGE
     assert main(args + ["--k", "3"]) == EXIT_USAGE
-    assert seen == [(10, 20), (3,)]
+    assert seen == [{}, {"ks": [3]}]
+    assert inspect.signature(evaluate).parameters["ks"].default == (10, 20)
 
 
 @pytest.fixture
@@ -530,16 +540,20 @@ def test_diverged_training_exits_3_and_writes_nothing(workspace, tmp_path, capsy
 
 def test_training_that_diverges_after_its_first_validation_exits_3(tmp_path, capsys):
     # every validation loss is NaN; the best step was the first, and the
-    # history held bare NaN tokens, which are not JSON
+    # history held bare NaN tokens, which are not JSON. NumPy's overflow
+    # warnings from the encoder and the fusion came before the error line.
     ds = tmp_path / "ds.json"
     assert main(["gen", "--n-graphs", "12", "--n-min", "3", "--n-max", "4", "--out", str(ds)]) == EXIT_OK
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = train_with(
             {"dataset": ds}, tmp_path, "--hidden", "8", "--layers", "1", "--epochs", "30",
             "--batch-size", "8", "--lr", "1000", config="[train]\nval_window = 1.0\n",
         )
     assert code == EXIT_NUMERIC
-    assert "non-finite validation loss nan at step 1" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == "error: training diverged: non-finite validation loss nan at step 1\n"
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "h.json").exists()
 
 
@@ -587,3 +601,165 @@ def test_checkpoint_with_an_optimizer_section_exits_2(workspace, tmp_path, capsy
     code = main(["eval", "--dataset", str(workspace["dataset"]), "--checkpoint", str(path)])
     assert code == EXIT_USAGE
     assert "unknown top-level keys: ['optimizer']" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_drawing(monkeypatch):
+    """Fails the test if gen draws a graph."""
+    from gedraft import synth
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(synth, "generate_er", draw)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # masked to 64 bits, -1 wrote the dataset of seed 2**64 - 1, and 2**64 that of seed 0
+        (["--seed", "-1"], "seed must be an integer in 0..18446744073709551615, got -1"),
+        (["--seed", str(2**64)], "seed must be an integer in 0..18446744073709551615"),
+        # no train or val pair, which train then refused
+        (["--pairs-per-graph", "0"], "need pairs_per_graph >= 1, got 0"),
+        # a perturbed graph of 65 nodes is more than the search kernels take
+        (["--n-max", "62"], "need n_max <= 61"),
+    ],
+    ids=["seed-1", "seed-2**64", "pairs-per-graph-0", "n-max-62"],
+)
+def test_gen_refuses_before_drawing_a_graph(tmp_path, capsys, no_drawing, flags, message):
+    out = tmp_path / "ds.json"
+    assert main(["gen", "--n-graphs", "12", *flags, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resat_refuses_a_seed_outside_0_to_2_64(workspace, tmp_path, capsys, no_probing):
+    out = tmp_path / "resat.json"
+    code = main(
+        [
+            "resat", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", f"abs={workspace['checkpoint']}", "--seed", "-1",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "seed must be an integer in 0..18446744073709551615, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def overflowing_checkpoint(workspace, tmp_path_factory):
+    """The workspace model with a regressor bias of 1e200: its squared
+    errors overflow to inf."""
+    doc = json.loads(workspace["checkpoint"].read_text())
+    doc["params"]["regressor.b3"]["values"] = [1e200]
+    path = tmp_path_factory.mktemp("overflow") / "m.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_eval_refuses_a_non_finite_report(workspace, overflowing_checkpoint, tmp_path, capsys):
+    # the report held "mse_e3": Infinity, which is not JSON
+    out = tmp_path / "eval.json"
+    code = main(
+        [
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", str(overflowing_checkpoint), "--k", "3", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith('error: non-finite number in the report {"mse_e3": Infinity')
+
+
+def test_resat_refuses_a_non_finite_report(workspace, overflowing_checkpoint, tmp_path, capsys):
+    out = tmp_path / "resat.json"
+    code = main(
+        [
+            "resat", "--dataset", str(workspace["dataset"]),
+            "--checkpoint", f"abs={overflowing_checkpoint}", "--per-graph", "4",
+            "--probe-epochs", "1", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: non-finite number in the report")
+    assert '"gsc_mse_e3": Infinity' in captured.err
+
+
+# Each subcommand's argv on the workspace, at a size that runs in well under
+# a second, and its numeric flags. OUT and HISTORY stand for files that a
+# failed command must not leave behind.
+OUT, HISTORY = "out.json", "history.json"
+SMALL_ARGV = {
+    "gen": ["gen", "--n-graphs", "6", "--n-min", "3", "--n-max", "4", "--out", OUT],
+    "ged": ["ged", "--a", "a.json", "--b", "b.json"],
+    "train": ["train", "--dataset", "{dataset}", "--out", OUT, "--history", HISTORY,
+              "--hidden", "4", "--layers", "1", "--epochs", "1", "--batch-size", "32", "--quiet"],
+    "eval": ["eval", "--dataset", "{dataset}", "--checkpoint", "{checkpoint}", "--k", "3",
+             "--out", OUT],
+    "resat": ["resat", "--dataset", "{dataset}", "--checkpoint", "abs={checkpoint}",
+              "--per-graph", "2", "--probe-epochs", "1", "--out", OUT],
+}
+NUMERIC_FLAGS = {
+    "gen": ["--n-graphs", "--n-min", "--n-max", "--p", "--labels", "--seed", "--train-frac",
+            "--val-frac", "--pairs-per-graph", "--budget"],
+    "ged": ["--budget"],
+    "train": ["--hidden", "--layers", "--temperature", "--seed", "--epochs", "--batch-size",
+              "--lr", "--validations", "--train-seed"],
+    "eval": ["--k"],
+    "resat": ["--per-graph", "--seed", "--probe-seeds", "--probe-epochs"],
+}
+EDGE_VALUES = ["-1", "0", "nan", "inf", "x"]
+# one past the range of a seed and of a budget; a huge size would be a huge
+# job rather than an error, so no size flag takes one
+BEYOND_RANGE = {"--seed": str(2**64), "--train-seed": str(2**64), "--budget": str(2**64)}
+
+
+def with_flag(argv, flag, value):
+    """argv with flag set to value: replaced where argv gives it, else added."""
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return argv[:at] + [value] + argv[at + 1:]
+    return argv + [flag, value]
+
+
+def run_with_flag(workspace, command, flag, value):
+    """(exit code, stderr, files left) of the small command with one flag set,
+    run in a fresh directory."""
+    argv = [arg.format(**workspace) for arg in with_flag(SMALL_ARGV[command], flag, value)]
+    cwd = os.getcwd()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        os.chdir(tmp)
+        write_graph(Path("a.json"), "a", [0, 1, 0], [[0, 1], [1, 2]])
+        write_graph(Path("b.json"), "b", [1, 1], [[0, 1]])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value with exit 2
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        left = sorted(set(os.listdir(tmp)) & {OUT, HISTORY})
+    return code, err.getvalue(), left
+
+
+@st.composite
+def flag_settings(draw):
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flag = draw(st.sampled_from(NUMERIC_FLAGS[command]))
+    beyond = [BEYOND_RANGE[flag]] if flag in BEYOND_RANGE else []
+    return command, flag, draw(st.sampled_from(EDGE_VALUES + beyond))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=flag_settings())
+def test_an_edge_value_of_any_numeric_flag_keeps_the_exit_code_contract(workspace, setting):
+    code, err, left = run_with_flag(workspace, *setting)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (setting, code, err)
+    assert "Traceback" not in err, (setting, err)
+    assert code == EXIT_OK or not left, (setting, code, left)

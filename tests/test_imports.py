@@ -9,6 +9,7 @@ order. So each module gets an interpreter of its own.
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -39,11 +40,12 @@ def test_module_imports_alone(module):
     assert done.returncode == 0, done.stderr
 
 
-def test_perfbench_seams_resolve():
+def test_perfbench_seams_resolve(tmp_path):
     # perfbench/tracer.py (standard library only) wraps the (module,
     # attribute) pairs of its TARGETS and the kernel's solve; perfbench's own
-    # tests replace synth._label_pair. Renaming any of them breaks the
-    # benchmark, whose suite is not part of this one.
+    # tests replace synth._label_pair; perfbench/workloads.py calls the
+    # functions bound below, in these shapes. Renaming any of them, or a
+    # parameter, breaks the benchmark, whose suite is not part of this one.
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -57,3 +59,20 @@ def test_perfbench_seams_resolve():
             missing.append((owner, attr))
     assert tracer.TARGETS and not missing, missing
     assert callable(importlib.import_module("gedraft.ged.core")._kernel.solve)
+    from gedraft import model, resat, synth
+    from gedraft.ged import _astar_py, core
+
+    calls = [
+        (synth.build_dataset, (), dict(n_graphs=16, n_min=5, n_max=8, p=0.4, alphabet_size=3,
+                                       seed=1000)),
+        (resat.build_resat_dataset, ([], 15, 0), {}),
+        (resat.resat_probe, (None, None, 0), dict(epochs=25)),
+        (model.save_checkpoint, ({}, None, "model.json"), {}),
+        (core._kernel.solve, tuple(range(8)), {}),
+        (_astar_py.solve, tuple(range(8)), {}),
+    ]
+    for function, args, kwargs in calls:
+        inspect.signature(function).bind(*args, **kwargs)
+    cfg = model.ModelConfig(alphabet_size=3, hidden=4, layers=1)
+    model.save_checkpoint(model.init_params(cfg), cfg, tmp_path / "m.json")
+    assert len(model.load_checkpoint(tmp_path / "m.json")) == 3

@@ -20,8 +20,12 @@ def test_deterministic_replay():
     assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
 
 
-def test_seed_masked_to_64_bits():
-    assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+def test_seed_outside_0_to_2_64_is_refused():
+    # masked to 64 bits, -1 replayed the draws of 2**64 - 1, and 2**64 those of 0
+    for seed in (-1, 1 << 64, True, 3.0):
+        with pytest.raises(ValueError, match="seed must be an integer in 0..18446744073709551615"):
+            SplitMix64(seed)
+    assert SplitMix64((1 << 64) - 1).state == (1 << 64) - 1
 
 
 def test_randrange_bounds_and_spread():
