@@ -1,10 +1,13 @@
 /* Compiled best-first search kernel for exact unit-cost GED.
  *
  * solve() takes the arguments and returns the results of _astar_py.solve,
- * the readable reference; see that module for how costs are charged and why
- * the heuristic is admissible. It pops, expands and pushes the same states
- * in the same order, so both kernels return the same
+ * the readable reference; see that module for how costs are charged, how
+ * the greedy starting assignment is built and what the lower bound is, and
+ * gedraft.ged.core for why the bound is admissible. It pops, expands and
+ * pushes the same states in the same order, so both kernels return the same
  * (cost, assignment, expansions, optimal), also when the budget runs out.
+ * The reference computes the bound of each child from its definition; this
+ * kernel updates it from the parent's terms (see the comments in search()).
  *
  * Search states live in an arena: f, g and depth per state, and the partial
  * assignment packed as n1 bytes (the value n2 means deleted). The frontier
@@ -59,8 +62,8 @@ typedef struct {
     int *suffix;   /* row i: label counts of g1's nodes i..n1-1 */
     int *count2;   /* label counts of g2 */
     int *used_lab; /* label counts of the g2 nodes the popped state uses */
-    int e1_prefix[MAX_NODES + 1]; /* g1 edges among nodes 0..i-1 */
-    int e1_total, e2_total;
+    int e1_inner[MAX_NODES + 1]; /* g1 edges among nodes i..n1-1 */
+    int e2_total;
     /* arena: states, their assignments (stride bytes each) and the heap */
     State *states;
     unsigned char *assign;
@@ -93,13 +96,47 @@ overlap(const Search *s, int i)
     return sum;
 }
 
-/* Heuristic of a state at depth i with r2 unused g2 nodes. */
+/* Lower bound of a state at depth i with r2 unused g2 nodes, label
+   overlap ov, cross-edge term cross, and inner2 g2 edges among the unused
+   nodes. */
 static int
-bound(const Search *s, int i, int r2, int ov, int e2_used)
+bound(const Search *s, int i, int r2, int ov, int cross, int inner2)
 {
     int r1 = s->n1 - i;
-    int edge_gap = (s->e1_total - s->e1_prefix[i]) - (s->e2_total - e2_used);
-    return (r1 > r2 ? r1 : r2) - ov + (edge_gap < 0 ? -edge_gap : edge_gap);
+    int inner_gap = s->e1_inner[i] - inner2;
+    return (r1 > r2 ? r1 : r2) - ov + cross + abs(inner_gap);
+}
+
+/* Greedy starting assignment into best; returns its cost. Maps each node k
+   in search order to the unused g2 node with the least added cost, the
+   lowest on ties. Needs n1 <= n2, which orientation guarantees. */
+static int
+greedy(const Search *s, unsigned char *best)
+{
+    mask_t used = 0;
+    int g = 0, e2_used = 0;
+    for (int k = 0; k < s->n1; k++) {
+        mask_t image = 0; /* images of k's neighbours among 0..k-1 */
+        for (int w = 0; w < k; w++)
+            if ((s->a1[k] >> w) & 1)
+                image |= (mask_t)1 << best[w];
+        int best_v = -1, best_add = INT_MAX;
+        for (int v = 0; v < s->n2; v++) {
+            if ((used >> v) & 1)
+                continue;
+            int add = (s->l1[k] != s->l2[v])
+                      + popcount(image ^ (s->a2[v] & used));
+            if (add < best_add) {
+                best_add = add;
+                best_v = v;
+            }
+        }
+        best[k] = (unsigned char)best_v;
+        g += best_add;
+        e2_used += popcount(s->a2[best_v] & used);
+        used |= (mask_t)1 << best_v;
+    }
+    return g + (s->n2 - s->n1) + (s->e2_total - e2_used);
 }
 
 /* Does state a pop before state b? */
@@ -193,12 +230,9 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
         memcpy(s->suffix + (size_t)i * na, s->suffix + (size_t)(i + 1) * na,
                na * sizeof(int));
         s->suffix[(size_t)i * na + s->l1[i]]++;
+        const mask_t later = ~(mask_t)0 << i << 1;
+        s->e1_inner[i] = s->e1_inner[i + 1] + popcount(s->a1[i] & later);
     }
-    for (int i = 0; i < n1; i++) {
-        mask_t prefix = ((mask_t)1 << i) - 1;
-        s->e1_prefix[i + 1] = s->e1_prefix[i] + popcount(s->a1[i] & prefix);
-    }
-    s->e1_total = s->e1_prefix[n1];
     for (int v = 0; v < n2; v++) {
         s->count2[s->l2[v]]++;
         s->e2_total += popcount(s->a2[v]);
@@ -212,28 +246,21 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
         *best_cost = n2 + s->e2_total;
         return 0;
     }
-    *best_cost = -1;
-    if (push(s, bound(s, 0, n2, overlap(s, 0), 0), 0, 0, cur) < 0)
+    *best_cost = greedy(s, best);
+    if (push(s, bound(s, 0, n2, overlap(s, 0), 0, s->e2_total), 0, 0, cur) < 0)
         return -1;
     while (s->heap_len > 0) {
         int idx = pop(s);
         const State st = s->states[idx];
         const int depth = st.depth, g = st.g;
-        if (*best_cost >= 0 && st.f >= *best_cost)
+        if (st.f >= *best_cost)
             break;
-        memcpy(cur, s->assign + idx * s->stride, depth);
-        if (depth == n1) {
-            if (*best_cost < 0 || g < *best_cost) {
-                *best_cost = g;
-                memcpy(best, cur, n1);
-            }
-            continue;
-        }
         if (*expansions >= budget) {
             *optimal = 0;
             break;
         }
         ++*expansions;
+        memcpy(cur, s->assign + idx * s->stride, depth);
 
         /* Replay the assignment. image holds the images of node depth's
            mapped g1 neighbours. */
@@ -257,19 +284,46 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
         const int ov = complete ? 0 : overlap(s, depth + 1);
         const int *c1 = s->suffix + (size_t)(depth + 1) * na;
 
+        /* The children's cross-edge term over the nodes before depth, with
+           U1 = depth+1.. and U2 the parent's unused nodes: |d1(w) - d2(w)|,
+           or d1(w) for a deleted w. Using v lowers d2(w) by one for each
+           image of a w adjacent to v, which adds one to w's term when
+           d1(w) >= d2(w) (plus) and takes one away otherwise (minus).
+           cut2 counts the g2 edges from used to unused nodes. */
+        const mask_t later = ~(mask_t)0 << depth << 1;
+        mask_t plus = 0, minus = 0;
+        int cross = 0, cut2 = 0;
+        for (int w = 0; w < depth; w++) {
+            const int d1 = popcount(s->a1[w] & later);
+            const int vw = cur[w];
+            if (vw == n2) {
+                cross += d1;
+                continue;
+            }
+            const int d2 = popcount(s->a2[vw] & ~used);
+            cut2 += d2;
+            cross += abs(d1 - d2);
+            if (d1 >= d2)
+                plus |= (mask_t)1 << vw;
+            else
+                minus |= (mask_t)1 << vw;
+        }
+        const int d1_new = popcount(s->a1[depth] & later);
+        const int inner2 = s->e2_total - e2_used - cut2;
+
         /* branch: delete node depth, and its edges into the prefix */
         int gc = g + 1 + popcount(nbrs);
         cur[depth] = (unsigned char)n2;
         if (complete) {
             int total = gc + (n2 - n_used) + (s->e2_total - e2_used);
-            if (*best_cost < 0 || total < *best_cost) {
+            if (total < *best_cost) {
                 *best_cost = total;
                 memcpy(best, cur, n1);
             }
         } else {
-            int f = gc + bound(s, depth + 1, n2 - n_used, ov, e2_used);
-            if ((*best_cost < 0 || f < *best_cost)
-                && push(s, f, gc, depth + 1, cur) < 0)
+            int f = gc + bound(s, depth + 1, n2 - n_used, ov, cross + d1_new,
+                               inner2);
+            if (f < *best_cost && push(s, f, gc, depth + 1, cur) < 0)
                 return -1;
         }
 
@@ -288,7 +342,7 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
             cur[depth] = (unsigned char)v;
             if (complete) {
                 int total = gc + (n2 - n_used - 1) + (s->e2_total - e2c);
-                if (*best_cost < 0 || total < *best_cost) {
+                if (total < *best_cost) {
                     *best_cost = total;
                     memcpy(best, cur, n1);
                 }
@@ -298,9 +352,14 @@ search(Search *s, long long budget, int *best_cost, unsigned char *best,
                unused g2 nodes of that label are no more than g1's */
             const int child_ov
                 = ov - (s->count2[lab] - used_lab[lab] <= c1[lab]);
-            int f = gc + bound(s, depth + 1, n2 - n_used - 1, child_ov, e2c);
-            if ((*best_cost < 0 || f < *best_cost)
-                && push(s, f, gc, depth + 1, cur) < 0)
+            const mask_t v_out = s->a2[v] & ~used;
+            const int d2_new = popcount(v_out);
+            const int child_cross = cross + popcount(s->a2[v] & plus)
+                                    - popcount(s->a2[v] & minus)
+                                    + abs(d1_new - d2_new);
+            int f = gc + bound(s, depth + 1, n2 - n_used - 1, child_ov,
+                               child_cross, inner2 - d2_new);
+            if (f < *best_cost && push(s, f, gc, depth + 1, cur) < 0)
                 return -1;
         }
     }
@@ -474,32 +533,26 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
     if (rc < 0)
         return PyErr_NoMemory();
 
-    PyObject *cost, *assignment;
-    if (best_cost < 0) {
-        cost = Py_NewRef(Py_None);
-        assignment = Py_NewRef(Py_None);
+    /* best[k] is the image of from's node order[k]; write it in the
+       caller's g1 ids, with n2 for a deleted node */
+    unsigned char out[MAX_NODES];
+    if (!swap) {
+        for (int k = 0; k < s.n1; k++)
+            out[order[k]] = best[k];
     } else {
-        /* best[k] is the image of from's node order[k]; write it in the
-           caller's g1 ids, with n2 for a deleted node */
-        unsigned char out[MAX_NODES];
-        if (!swap) {
-            for (int k = 0; k < s.n1; k++)
-                out[order[k]] = best[k];
-        } else {
-            memset(out, n2, n1);
-            for (int k = 0; k < s.n1; k++)
-                if (best[k] != s.n2)
-                    out[best[k]] = (unsigned char)order[k];
-        }
-        cost = PyLong_FromLong(best_cost);
-        assignment = PyTuple_New(n1);
-        for (int i = 0; assignment && i < n1; i++) {
-            PyObject *v = PyLong_FromLong(out[i]);
-            if (!v)
-                Py_CLEAR(assignment);
-            else
-                PyTuple_SET_ITEM(assignment, i, v);
-        }
+        memset(out, n2, n1);
+        for (int k = 0; k < s.n1; k++)
+            if (best[k] != s.n2)
+                out[best[k]] = (unsigned char)order[k];
+    }
+    PyObject *cost = PyLong_FromLong(best_cost);
+    PyObject *assignment = PyTuple_New(n1);
+    for (int i = 0; assignment && i < n1; i++) {
+        PyObject *v = PyLong_FromLong(out[i]);
+        if (!v)
+            Py_CLEAR(assignment);
+        else
+            PyTuple_SET_ITEM(assignment, i, v);
     }
     if (!cost || !assignment) {
         Py_XDECREF(cost);

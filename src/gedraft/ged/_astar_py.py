@@ -8,10 +8,10 @@ is constrained by many already-processed neighbours, and maps the best
 assignment back to the caller's g1 ids. Expansions are those of the
 oriented, renumbered search.
 
-Below, g1 is the searched graph. States are partial assignments of its
-nodes, processed in the renumbered order; node i is either mapped to an
-unused g2 node or deleted (encoded as n2). Costs are charged so that every
-node edit and every edge edit is counted exactly once:
+Below, g1 is the searched graph, so n1 <= n2. States are partial
+assignments of its nodes, processed in the renumbered order; node i is
+either mapped to an unused g2 node or deleted (encoded as n2). Costs are
+charged so that every node edit and every edge edit is counted exactly once:
 
 * mapping/deleting node i charges its node edit plus all edge edits between
   i and already-processed g1 nodes, and all g2 edges between i's image and
@@ -19,9 +19,17 @@ node edit and every edge edit is counted exactly once:
 * completion charges one insertion per unused g2 node plus one per g2 edge
   with at least one unused endpoint.
 
-The heuristic adds the label-multiset bound on the unprocessed/unused nodes
-and the absolute difference of uncharged edge counts; both are admissible
-(see the docstring of gedraft.ged.core).
+Before the first pop, a greedy assignment (``_greedy``) seeds the best cost
+and assignment: each node in search order goes to the unused g2 node with
+the least added cost, the lowest on ties. So the search always holds a
+complete assignment, and a budget that runs out still returns a bound.
+
+The lower bound of a state at depth i (``heuristic``) is the label-multiset
+bound on the unprocessed/unused nodes, plus the cross-edge term
+``sum |d1(u) - d2(u)|`` over the processed nodes u, plus the gap between the
+edge counts inside the unprocessed g1 nodes and inside the unused g2 nodes;
+``heuristic`` spells out d1 and d2, and the docstring of gedraft.ged.core
+proves the sum admissible.
 
 Tie-breaking is deterministic: (f, g descending, assignment lexicographic).
 
@@ -87,8 +95,7 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     (cost, assignment, expansions, optimal) where assignment[i] in 0..n2
     (n2 = deleted) is the image of g1's node i. When the expansion budget
     runs out before optimality is proven, returns optimal=False with the best
-    complete assignment found so far and its cost, or None for both when none
-    was found yet.
+    complete assignment found so far, at worst the greedy one, and its cost.
 
     Raises ValueError for a graph with more than MAX_NODES nodes (the compiled
     kernel's bitmask limit), a label outside 0..alphabet_size-1, or
@@ -115,8 +122,6 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     cost, found, expansions, optimal = _search(
         n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget
     )
-    if found is None:
-        return cost, None, expansions, optimal
     # found[k] is the image of node order[k] of the searched graph
     assign = [None] * n1
     for k, v in enumerate(found):
@@ -129,6 +134,29 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
                 inverse[v] = u
         assign = inverse
     return cost, tuple(assign), expansions, optimal
+
+
+def _greedy(n1, labels1, adj1, n2, labels2, adj2, e2_total):
+    """(cost, assignment) of mapping each g1 node in order to the unused g2
+    node with the least added cost, the lowest on ties. Needs n1 <= n2."""
+    assign = []
+    used_mask = 0
+    g = e2_used = 0
+    for k in range(n1):
+        image = 0  # images of k's neighbours among 0..k-1
+        for w in range(k):
+            if (adj1[k] >> w) & 1:
+                image |= 1 << assign[w]
+        add, v = min(
+            ((labels1[k] != labels2[v]) + _popcount(image ^ (adj2[v] & used_mask)), v)
+            for v in range(n2)
+            if not (used_mask >> v) & 1
+        )
+        assign.append(v)
+        g += add
+        e2_used += _popcount(adj2[v] & used_mask)
+        used_mask |= 1 << v
+    return g + (n2 - n1) + (e2_total - e2_used), tuple(assign)
 
 
 def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
@@ -156,7 +184,9 @@ def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     for lab in labels2:
         count2_all[lab] += 1
 
-    def heuristic(i, used_mask, e2_used):
+    def heuristic(assign, used_mask, e2_used):
+        """Lower bound on the cost still to pay from the state ``assign``."""
+        i = len(assign)
         r1 = n1 - i
         r2 = n2 - _popcount(used_mask)
         c1 = suffix_counts[i]
@@ -165,35 +195,39 @@ def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
             c2 = count2_all[lab] - _used_label_counts[lab]
             overlap += min(c1[lab], c2)
         node_bound = max(r1, r2) - overlap
-        e1_rem = e1_total - e1_prefix[i]
-        e2_rem = e2_total - e2_used
-        return node_bound + abs(e1_rem - e2_rem)
+        # cross edges of each processed u: d1 into the unprocessed g1 nodes
+        # U1, d2 from its image into the unused g2 nodes U2; a mask holds no
+        # node beyond its graph, so the complements serve as U1 and U2
+        u1, u2 = ~prefix_mask[i], ~used_mask
+        cross = cut1 = cut2 = 0
+        for u, v in enumerate(assign):
+            d1 = _popcount(adj1[u] & u1)
+            d2 = _popcount(adj2[v] & u2) if v != n2 else 0
+            cross += abs(d1 - d2)
+            cut1 += d1
+            cut2 += d2
+        # edges inside U1 and inside U2
+        inner1 = e1_total - e1_prefix[i] - cut1
+        inner2 = e2_total - e2_used - cut2
+        return node_bound + cross + abs(inner1 - inner2)
 
     def completion_cost(used_mask, e2_used):
         return (n2 - _popcount(used_mask)) + (e2_total - e2_used)
 
-    empty = ()
     # label counts of used g2 nodes, keyed per state: recomputed on pop
     _used_label_counts = [0] * alphabet_size
-    h0 = heuristic(0, 0, 0)
-    heap = [(h0, 0, empty)]
+    best_cost, best_assign = _greedy(n1, labels1, adj1, n2, labels2, adj2, e2_total)
+    heap = [(heuristic((), 0, 0), 0, ())]
     expansions = 0
-    best_cost = None
-    best_assign = None
     while heap:
         f, neg_g, assign = heapq.heappop(heap)
         g = -neg_g
-        if best_cost is not None and f >= best_cost:
+        if f >= best_cost:
             break
-        i = len(assign)
-        if i == n1:
-            # g already includes completion cost (charged when reaching depth n1)
-            if best_cost is None or g < best_cost:
-                best_cost, best_assign = g, assign
-            continue
         if expansions >= budget:
             return best_cost, best_assign, expansions, False
         expansions += 1
+        i = len(assign)
 
         used_mask = 0
         e2_used = 0
@@ -212,11 +246,11 @@ def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
         child = assign + (n2,)
         if i + 1 == n1:
             total = g_child + completion_cost(used_mask, e2_used)
-            if best_cost is None or total < best_cost:
+            if total < best_cost:
                 best_cost, best_assign = total, child
         else:
-            h = heuristic(i + 1, used_mask, e2_used)
-            if best_cost is None or g_child + h < best_cost:
+            h = heuristic(child, used_mask, e2_used)
+            if g_child + h < best_cost:
                 heapq.heappush(heap, (g_child + h, -g_child, child))
 
         # branch: map node i to each unused v
@@ -238,12 +272,12 @@ def _search(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
             new_e2_used = e2_used + _popcount(adj2[v] & used_mask)
             if i + 1 == n1:
                 total = g_child + completion_cost(new_used, new_e2_used)
-                if best_cost is None or total < best_cost:
+                if total < best_cost:
                     best_cost, best_assign = total, child
             else:
                 _used_label_counts[labels2[v]] += 1
-                h = heuristic(i + 1, new_used, new_e2_used)
+                h = heuristic(child, new_used, new_e2_used)
                 _used_label_counts[labels2[v]] -= 1
-                if best_cost is None or g_child + h < best_cost:
+                if g_child + h < best_cost:
                     heapq.heappush(heap, (g_child + h, -g_child, child))
     return best_cost, best_assign, expansions, True

@@ -13,7 +13,33 @@ Admissibility of the lower bound used here and inside the search:
   ``|E1 - E2|`` edge operators are required.
 
 The two bounds charge disjoint operator kinds, so their sum is a lower
-bound on the true GED.
+bound on the true GED. It is the search's bound at the root.
+
+Inside the search, a state at depth i fixes the partial assignment f of
+g1's nodes 0..i-1 (the processed nodes; the rest, U1, are unprocessed) and
+leaves the g2 nodes U2 unused. The node bound applies to U1 and U2 as
+above. The edge edits still to pay split into two disjoint kinds:
+
+* Cross edges, with one processed endpoint u. Let ``d1(u)`` count u's
+  edges into U1, and ``d2(u)`` the edges from f(u) into U2, or 0 when u is
+  deleted. A cross edge (u, j) with j in U1 is kept only by the g2 edge
+  (f(u), f(j)) with f(j) in U2, so at most ``min(d1(u), d2(u))`` of u's are
+  kept and at least ``|d1(u) - d2(u)|`` edits fall on them. Each used g2
+  node is the image of exactly one mapped u, so these edge sets are
+  disjoint for different u, on both sides, and the terms add up.
+* Inner edges, with both endpoints unprocessed or unused. A g1 edge inside
+  U1 can only be kept by a g2 edge inside U2, so at least ``|I1 - I2|``
+  edits fall on them, where I1 and I2 count the edges inside U1 and inside
+  U2.
+
+So ``max(r1, r2) - overlap + sum_u |d1(u) - d2(u)| + |I1 - I2|`` never
+exceeds the cost still to pay. By the triangle inequality it is never below
+the edge bound on the remaining edges, ``|E1_rem - E2_rem|``, where
+``E1_rem = sum_u d1(u) + I1`` and ``E2_rem = sum_u d2(u) + I2``.
+
+The search also starts from an upper bound: the cost of a greedy complete
+assignment (see ``_astar_py``). Any complete assignment's cost is at least
+the GED, so a search cut short by its budget still reports a bound.
 
 Symmetry, which lets the kernels search from either graph:
 
@@ -111,15 +137,15 @@ class GedResult:
 
 
 class GedBudgetExceeded(Exception):
-    """Search ran out of node expansions; carries the best upper bound."""
+    """Search ran out of node expansions; carries the best upper bound, the
+    cost of the best complete assignment the search held."""
 
     def __init__(self, best_cost, expansions):
         self.best_cost = best_cost
         self.expansions = expansions
-        bound = "none" if best_cost is None else str(best_cost)
         super().__init__(
             f"expansion budget exhausted after {expansions} expansions; "
-            f"best upper bound: {bound}"
+            f"best upper bound: {best_cost}"
         )
 
 

@@ -5,7 +5,8 @@ of an earlier one so the similarity distribution covers both near-duplicate
 and unrelated pairs. Graphs are split train/val/test; train and val pairs
 are sampled per graph, test pairs follow the ranking protocol (every test
 graph against the whole train+val corpus). Pairs whose exact search blows
-the expansion budget are dropped and counted.
+the expansion budget are dropped and counted; a split that drops all of its
+pairs, or has none, is refused.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def build_dataset(
 
     These are ``gedraft gen``'s options and defaults. ValueError for a bad
     one; ``generate_er`` checks ``p`` and ``alphabet_size`` on graph 0,
-    ``SplitMix64`` the seed and ``ged_exact`` the budget.
+    ``SplitMix64`` the seed and ``ged_exact`` the budget. ValueError, too,
+    when the train, val or test split is left without a pair.
     """
     if n_graphs < 3:
         raise ValueError("need at least 3 graphs for the three splits")
@@ -126,17 +128,25 @@ def build_dataset(
 
     pairs = []
     labeled = [0]
-    dropped = dropped_expansions = 0
+    dropped = dict.fromkeys(("train", "val", "test"), 0)
+    dropped_expansions = 0
     token = _expansion_tally.set(labeled)
     try:
         for gi, gj, split in wanted:
             try:
                 pairs.append(_label_pair(by_id[gi], by_id[gj], split, budget))
             except GedBudgetExceeded as exc:
-                dropped += 1
+                dropped[split] += 1
                 dropped_expansions += exc.expansions
     finally:
         _expansion_tally.reset(token)
+    kept = {p.split for p in pairs}
+    for split, n_dropped in dropped.items():
+        if split not in kept:
+            raise ValueError(
+                f"no {split} pair left: {n_dropped} {split} pairs dropped over budget"
+            )
     alphabet = tuple(str(i) for i in range(alphabet_size))
     ds = Dataset(alphabet, graphs, pairs)
-    return ds, GenReport(n_graphs, len(pairs), dropped, labeled[0] + dropped_expansions)
+    report = GenReport(n_graphs, len(pairs), sum(dropped.values()), labeled[0] + dropped_expansions)
+    return ds, report

@@ -35,6 +35,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0 < self.val_window <= 1:
             raise ValueError("val_window must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pair_views(dataset, split):

@@ -634,6 +634,23 @@ def test_gen_refuses_before_drawing_a_graph(tmp_path, capsys, no_drawing, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget", "0"], "no train pair left: 6 train pairs dropped over budget"),
+        (["--n-min", "7", "--seed", "3", "--budget", "0"],
+         "no val pair left: 10 val pairs dropped over budget"),
+    ],
+    ids=["train", "val"],
+)
+def test_gen_refuses_a_split_that_drops_every_pair(tmp_path, capsys, flags, message):
+    # it wrote the dataset and exited 0, and train then refused the file
+    out = tmp_path / "ds.json"
+    assert main(["gen", "--n-graphs", "6", "--n-max", "8", *flags, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resat_refuses_a_seed_outside_0_to_2_64(workspace, tmp_path, capsys, no_probing):
     out = tmp_path / "resat.json"
     code = main(

@@ -35,7 +35,7 @@ PINS = {
     "abs.json": "5985abed8f854afab8b95758b25ff1f1289e38ef4aebf1fecd87a271be55f11c",
     "eval.json": "ac5a0ac53b649838990734d1e358380155e3715bff886f7e931521eb1746ec26",
     "resat.json": "ed52801c06fb3df93d5fd774fa767df2d4a3424f833b5c0f53b500d1ad50998d",
-    "stdout": "861aaddcb2f6bd3a8b1370e031c60aa8531e7992cfbb26c28e887329cfb329b3",
+    "stdout": "860bbc6462e7ca496f2a03cb30167975cd5e2199bbe587e77686a62e2af6ab49",
 }
 # A training history names the GED and Adam backends that ran, so its pins
 # are per (ged, adam) backend pair; every other byte is the same on both.

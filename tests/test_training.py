@@ -18,6 +18,10 @@ def test_train_config_validation():
                 dict(lr="0.1"), dict(val_window=None), dict(seed=1.0)):
         with pytest.raises(ValueError, match="wrong type"):
             TrainConfig(**bad)
+    # NumPy's default_rng refused it only when training began, naming neither
+    # the key nor the flag
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     assert TrainConfig(lr=1, val_window=1).lr == 1
 
 
