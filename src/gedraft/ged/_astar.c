@@ -75,9 +75,7 @@ typedef struct {
 static void
 release(Search *s)
 {
-    free(s->suffix);
-    free(s->count2);
-    free(s->used_lab);
+    free(s->suffix); /* count2 and used_lab share its block */
     free(s->states);
     free(s->assign);
     free(s->heap);
@@ -158,7 +156,8 @@ grow(Search *s)
 {
     if (s->cap > INT_MAX / 2)
         return -1;
-    int cap = s->cap ? 2 * s->cap : 1024;
+    /* a search of two small graphs pushes a few dozen states */
+    int cap = s->cap ? 2 * s->cap : 64;
     State *states = realloc(s->states, cap * sizeof *states);
     if (!states)
         return -1;
@@ -517,14 +516,15 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
     memcpy(s.l2, to->lab, sizeof s.l2);
     memcpy(s.a2, to->adj, sizeof s.a2);
 
+    /* suffix's n1 + 1 rows, then count2 and used_lab, in one block */
     size_t row = na ? na : 1;
-    s.suffix = calloc((s.n1 + 1) * row, sizeof(int));
-    s.count2 = calloc(row, sizeof(int));
-    s.used_lab = calloc(row, sizeof(int));
+    s.suffix = calloc((s.n1 + 3) * row, sizeof(int));
     int rc = -1, best_cost, optimal;
     long long expansions;
     unsigned char best[MAX_NODES];
-    if (s.suffix && s.count2 && s.used_lab) {
+    if (s.suffix) {
+        s.count2 = s.suffix + (s.n1 + 1) * row;
+        s.used_lab = s.count2 + row;
         Py_BEGIN_ALLOW_THREADS
         rc = search(&s, budget, &best_cost, best, &expansions, &optimal);
         Py_END_ALLOW_THREADS

@@ -96,14 +96,18 @@ class EditOp:
         return {"kind": self.kind, "operands": list(self.operands)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GedResult:
     """An optimal edit path from g1 to g2, held as the search's node
     assignment: ``assignment[u]`` is g1 node u's image in g2, or ``g2.n`` if
     u is deleted.
 
     ``path`` and ``mapping`` are built from the assignment the first time
-    either is read, and kept; labeling reads only the cost.
+    either is read, and kept; labeling reads only the cost. The result is
+    frozen: its fields cannot be assigned. ``__init__`` fills the instance
+    dict directly, as the frozen dataclass's five ``object.__setattr__``
+    calls would, at half their cost: ``ged_exact`` makes one result per
+    labeled pair.
     """
 
     cost: int
@@ -111,6 +115,9 @@ class GedResult:
     expansions: int
     g1: Graph = field(repr=False)
     g2: Graph = field(repr=False)
+
+    def __init__(self, cost, assignment, expansions, g1, g2):
+        vars(self).update(cost=cost, assignment=assignment, expansions=expansions, g1=g1, g2=g2)
 
     @cached_property
     def _edit_path(self):
@@ -150,7 +157,7 @@ class GedBudgetExceeded(Exception):
 
 
 def _alphabet_size(g1: Graph, g2: Graph) -> int:
-    return max(max(g1.labels), max(g2.labels)) + 1
+    return max(g1.max_label, g2.max_label) + 1
 
 
 def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
@@ -189,10 +196,8 @@ def _edit_count(g1: Graph, g2: Graph, assign) -> int:
     """The length of ``_build_path(g1, g2, assign)`` for an injective
     ``assign``, counted without building the path."""
     n2 = len(g2.labels)
-    # a deleted node's image n2 has no neighbours and a label no node has;
-    # valid masks set no bit at or above n2
-    adj2 = g2.masks + (0,)
-    labels2 = g2.labels + (-1,)
+    # valid masks set no bit at or above n2, a deleted node's image
+    adj2, labels2 = g2.padded
     kept = 0
     for u, w in g1.edges:
         kept += adj2[assign[u]] >> assign[w] & 1

@@ -92,6 +92,18 @@ class Graph:
         return tuple(self.adjacency_masks())
 
     @cached_property
+    def padded(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``masks`` and ``labels``, each with one more entry for node ``n``,
+        a deleted node's image in a search assignment: no neighbours, and the
+        label -1, which no node has. Computed once per graph."""
+        return self.masks + (0,), self.labels + (-1,)
+
+    @cached_property
+    def max_label(self) -> int:
+        """The largest label, or -1 without nodes; computed once per graph."""
+        return max(self.labels, default=-1)
+
+    @cached_property
     def label_array(self) -> np.ndarray:
         """The labels as a read-only intp array, computed once per graph: the
         encoder's input."""
@@ -187,38 +199,18 @@ def permute(g: Graph, pi) -> Graph:
     return Graph.make(g.id, labels, edges)
 
 
-def _applicable_ops(g: Graph, remaining: int, alphabet_size: int) -> list[tuple]:
-    """Concrete edit operators applicable within the remaining budget."""
-    ops: list[tuple] = []
-    degree = [0] * g.n
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    ops.append(("node-insert",))
-    if g.n >= 2:
-        for i in range(g.n):
-            if degree[i] + 1 <= remaining:
-                ops.append(("node-delete", i))
-    if alphabet_size > 1:
-        for i in range(g.n):
-            ops.append(("node-relabel", i))
-    edge_set = set(g.edges)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (u, v) in edge_set:
-                ops.append(("edge-delete", u, v))
-            else:
-                ops.append(("edge-insert", u, v))
-    return ops
-
-
 def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None):
-    """Apply up to k uniformly chosen valid edits; returns (graph, ops, skipped).
+    """Apply k uniformly chosen valid edits; returns (graph, applied ops).
 
-    Deleting a non-isolated node first deletes its incident edges, each
-    counting as one edit; such a deletion is only applicable when the whole
-    bundle fits in the remaining budget. Steps with no applicable operator
-    are skipped and counted.
+    Each step draws one operator, uniformly, from those applicable within
+    the remaining budget, listed in this order: insert a node; delete node
+    i, for each i (with at least two nodes); relabel node i, for each i
+    (with an alphabet above one symbol); and for each node pair (u, v) in
+    lexicographic order, delete or insert its edge. Deleting a non-isolated
+    node first deletes its incident edges, each counting as one edit; such a
+    deletion is only applicable when the whole bundle fits in the remaining
+    budget. Inserting a node always is, so every step applies an operator.
+    The draw's index is mapped to its operator without listing them.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -228,22 +220,25 @@ def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None)
     labels = list(g.labels)
     edges = set(g.edges)
     applied: list[tuple] = []
-    skipped = 0
     remaining = k
     while remaining > 0:
-        cur = Graph.make(g.id, labels, edges)
-        ops = _applicable_ops(cur, remaining, alphabet_size)
-        if not ops:
-            skipped += 1
-            break
-        op = ops[rng.randrange(len(ops))]
-        kind = op[0]
-        if kind == "node-insert":
+        n = len(labels)
+        deletable = []
+        if n >= 2:
+            degree = [0] * n
+            for u, v in edges:
+                degree[u] += 1
+                degree[v] += 1
+            deletable = [i for i in range(n) if degree[i] < remaining]
+        relabels = n if alphabet_size > 1 else 0
+        r = rng.randrange(1 + len(deletable) + relabels + n * (n - 1) // 2) - 1
+        if r < 0:
             labels.append(rng.randrange(alphabet_size))
-            applied.append(op)
+            applied.append(("node-insert",))
             remaining -= 1
-        elif kind == "node-delete":
-            i = op[1]
+            continue
+        if r < len(deletable):
+            i = deletable[r]
             incident = [(u, v) for (u, v) in edges if u == i or v == i]
             for e in incident:
                 edges.remove(e)
@@ -255,30 +250,37 @@ def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None)
                 (min(u - (u > i), v - (v > i)), max(u - (u > i), v - (v > i)))
                 for (u, v) in edges
             }
-            applied.append(op)
+            applied.append(("node-delete", i))
             remaining -= 1
-        elif kind == "node-relabel":
-            i = op[1]
+            continue
+        r -= len(deletable)
+        if r < relabels:
             new = rng.randrange(alphabet_size - 1)
-            if new >= labels[i]:
+            if new >= labels[r]:
                 new += 1
-            labels[i] = new
-            applied.append((kind, i, new))
+            labels[r] = new
+            applied.append(("node-relabel", r, new))
             remaining -= 1
-        elif kind == "edge-insert":
-            edges.add((op[1], op[2]))
-            applied.append(op)
-            remaining -= 1
-        else:  # edge-delete
-            edges.remove((op[1], op[2]))
-            applied.append(op)
-            remaining -= 1
-    return Graph.make(g.id, labels, edges), applied, skipped
+            continue
+        r -= relabels
+        # the r-th node pair: row u holds the n - 1 - u pairs (u, v > u)
+        u = 0
+        while r >= n - 1 - u:
+            r -= n - 1 - u
+            u += 1
+        e = (u, u + 1 + r)
+        if e in edges:
+            edges.remove(e)
+            applied.append(("edge-delete", *e))
+        else:
+            edges.add(e)
+            applied.append(("edge-insert", *e))
+        remaining -= 1
+    return Graph.make(g.id, labels, edges), applied
 
 
 def perturb(g: Graph, k: int, seed: int, alphabet_size: int | None = None) -> Graph:
-    out, _, _ = perturb_trace(g, k, seed, alphabet_size)
-    return out
+    return perturb_trace(g, k, seed, alphabet_size)[0]
 
 
 def random_walk_subgraph(g: Graph, seed: int) -> SubgraphExtraction:

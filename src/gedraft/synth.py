@@ -21,6 +21,7 @@ from .graphs import Graph, generate_er, perturb
 from .rng import SplitMix64
 
 PERTURB_MAX = 3  # a perturbed graph is 1..PERTURB_MAX edits from its base
+MAX_ALPHABET = 1024  # the most label symbols build_dataset takes; see there
 
 
 @dataclass
@@ -63,9 +64,15 @@ def build_dataset(
     """Returns (Dataset, GenReport).
 
     These are ``gedraft gen``'s options and defaults. ValueError for a bad
-    one; ``generate_er`` checks ``p`` and ``alphabet_size`` on graph 0,
+    one; ``generate_er`` checks ``p`` and ``alphabet_size >= 1`` on graph 0,
     ``SplitMix64`` the seed and ``ged_exact`` the budget. ValueError, too,
     when the train, val or test split is left without a pair.
+
+    ``alphabet_size`` is at most ``MAX_ALPHABET``, checked before any graph
+    is drawn. The dataset lists every symbol of the alphabet, and the model
+    reads each label as a one-hot vector of the alphabet's width, so both
+    grow with it whatever the graphs use. 1,024 symbols are far more than a
+    labeled GED benchmark has (AIDS has 29), and take 9 KB of a file.
     """
     if n_graphs < 3:
         raise ValueError("need at least 3 graphs for the three splits")
@@ -80,6 +87,8 @@ def build_dataset(
         raise ValueError("train/val fractions must be positive and sum below 1")
     if pairs_per_graph < 1:
         raise ValueError(f"need pairs_per_graph >= 1, got {pairs_per_graph}")
+    if alphabet_size > MAX_ALPHABET:
+        raise ValueError(f"need alphabet_size <= {MAX_ALPHABET}, got {alphabet_size}")
     rng = SplitMix64(seed)
     graphs: list[Graph] = []
     for i in range(n_graphs):
@@ -98,33 +107,31 @@ def build_dataset(
     rng.shuffle(order)
     n_train = max(1, int(round(n_graphs * train_frac)))
     n_val = max(1, int(round(n_graphs * val_frac)))
-    train_ids = [graphs[i].id for i in order[:n_train]]
-    val_ids = [graphs[i].id for i in order[n_train : n_train + n_val]]
-    test_ids = [graphs[i].id for i in order[n_train + n_val :]]
-    if not test_ids:
+    train = [graphs[i] for i in order[:n_train]]
+    val = [graphs[i] for i in order[n_train : n_train + n_val]]
+    test = [graphs[i] for i in order[n_train + n_val :]]
+    if not test:
         raise ValueError("split fractions leave no test graphs")
-    by_id = {g.id: g for g in graphs}
 
-    wanted: list[tuple[str, str, str]] = []
+    wanted: list[tuple[Graph, Graph, str]] = []
     seen = set()
-    for gid in train_ids:
+    for g in train:
         for _ in range(pairs_per_graph):
-            other = train_ids[rng.randrange(len(train_ids))]
-            if other == gid:
+            other = train[rng.randrange(len(train))]
+            if other is g:
                 continue
-            key = (min(gid, other), max(gid, other))
+            key = (min(g.id, other.id), max(g.id, other.id))
             if key in seen:
                 continue
             seen.add(key)
-            wanted.append((gid, other, "train"))
-    for gid in val_ids:
+            wanted.append((g, other, "train"))
+    for g in val:
         for _ in range(pairs_per_graph):
-            other = train_ids[rng.randrange(len(train_ids))]
-            wanted.append((gid, other, "val"))
-    corpus = sorted(train_ids + val_ids)
-    for gid in test_ids:
+            wanted.append((g, train[rng.randrange(len(train))], "val"))
+    corpus = sorted(train + val, key=lambda g: g.id)
+    for g in test:
         for other in corpus:
-            wanted.append((gid, other, "test"))
+            wanted.append((g, other, "test"))
 
     pairs = []
     labeled = [0]
@@ -132,9 +139,9 @@ def build_dataset(
     dropped_expansions = 0
     token = _expansion_tally.set(labeled)
     try:
-        for gi, gj, split in wanted:
+        for g1, g2, split in wanted:
             try:
-                pairs.append(_label_pair(by_id[gi], by_id[gj], split, budget))
+                pairs.append(_label_pair(g1, g2, split, budget))
             except GedBudgetExceeded as exc:
                 dropped[split] += 1
                 dropped_expansions += exc.expansions

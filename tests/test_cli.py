@@ -624,8 +624,13 @@ def no_drawing(monkeypatch):
         (["--pairs-per-graph", "0"], "need pairs_per_graph >= 1, got 0"),
         # a perturbed graph of 65 nodes is more than the search kernels take
         (["--n-max", "62"], "need n_max <= 61"),
+        # the whole alphabet was listed after labeling: 300000 wrote 3.5 MB of
+        # symbols, and 2**64 would have filled the memory
+        (["--labels", "1025"], "need alphabet_size <= 1024, got 1025"),
+        (["--labels", str(2**64)], f"need alphabet_size <= 1024, got {2**64}"),
     ],
-    ids=["seed-1", "seed-2**64", "pairs-per-graph-0", "n-max-62"],
+    ids=["seed-1", "seed-2**64", "pairs-per-graph-0", "n-max-62", "labels-1025",
+         "labels-2**64"],
 )
 def test_gen_refuses_before_drawing_a_graph(tmp_path, capsys, no_drawing, flags, message):
     out = tmp_path / "ds.json"
@@ -731,9 +736,13 @@ NUMERIC_FLAGS = {
     "resat": ["--per-graph", "--seed", "--probe-seeds", "--probe-epochs"],
 }
 EDGE_VALUES = ["-1", "0", "nan", "inf", "x"]
-# one past the range of a seed and of a budget; a huge size would be a huge
-# job rather than an error, so no size flag takes one
-BEYOND_RANGE = {"--seed": str(2**64), "--train-seed": str(2**64), "--budget": str(2**64)}
+# one past the range of a seed and of a budget, and a label count far past
+# the largest alphabet; a huge size would be a huge job rather than an
+# error, so no other size flag takes one
+BEYOND_RANGE = {
+    "--seed": str(2**64), "--train-seed": str(2**64), "--budget": str(2**64),
+    "--labels": str(2**64),
+}
 
 
 def with_flag(argv, flag, value):

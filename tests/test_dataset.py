@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +48,22 @@ def test_roundtrip_bit_exact(small_ds, tmp_path):
     back = read_dataset(path)
     assert back.alphabet == small_ds.alphabet
     assert back.graphs == small_ds.graphs
-    for p, q in zip(small_ds.pairs, back.pairs):
-        assert p == q  # floats identical after a 17-significant-digit trip
+    # floats identical after a 17-significant-digit trip
+    assert back.pairs == small_ds.pairs
+    assert all(type(p) is PairRecord for p in back.pairs)
+
+
+def test_pair_record_is_an_immutable_record_of_six_fields_in_order():
+    rec = PairRecord("a", "b", 2, 0.8, math.exp(-0.8), "train")
+    assert PairRecord._fields == ("i", "j", "ged", "nged", "sim", "split")
+    assert tuple(rec) == ("a", "b", 2, 0.8, math.exp(-0.8), "train")
+    for field in PairRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert rec == PairRecord(*rec) and hash(rec) == hash(PairRecord(*rec))
+    assert rec != rec._replace(ged=3)
 
 
 def test_17g_float_roundtrip():
@@ -91,7 +104,7 @@ def test_write_refuses_invalid(small_ds, tmp_path):
 
 
 def _with_pair(ds, **fields):
-    return Dataset(ds.alphabet, ds.graphs, [replace(ds.pairs[0], **fields), *ds.pairs[1:]])
+    return Dataset(ds.alphabet, ds.graphs, [ds.pairs[0]._replace(**fields), *ds.pairs[1:]])
 
 
 def _with_graph(ds, labels=None, edges=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -79,7 +80,7 @@ def test_perturbation_upper_bound():
     for trial in range(40):
         g = G.generate_er(4 + trial % 4, 0.4, 3, seed=trial, gid="g")
         k = 1 + trial % 3
-        h, applied, _ = G.perturb_trace(g, k, seed=trial * 13 + 1)
+        h, applied = G.perturb_trace(g, k, seed=trial * 13 + 1)
         assert ged_exact(g, h).cost <= len(applied)
 
 
@@ -469,6 +470,19 @@ def test_result_builds_the_path_of_its_assignment_once_when_read(monkeypatch):
         }
         assert res.path is res.path and len(built) == 1
         built.clear()
+
+
+def test_result_is_frozen_with_its_fields_in_order():
+    g1, g2 = rand_pair(3)
+    res = ged_exact(g1, g2)
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "cost", "assignment", "expansions", "g1", "g2"
+    ]
+    assert res == core.GedResult(res.cost, res.assignment, res.expansions, g1, g2)
+    for name in ("cost", "assignment", "expansions", "g1", "g2", "path"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, None)
+    assert res.path is res.path  # the cached path is kept, not refused
 
 
 @pytest.mark.parametrize("error", [1, -1])

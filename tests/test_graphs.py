@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perturb_reference
 from gedraft.graphs import (
     Graph,
     check_extraction,
@@ -104,9 +105,23 @@ def test_permute_roundtrip_and_validation():
 @settings(max_examples=50, deadline=None)
 @given(graphs_strategy(), st.integers(0, 2**32))
 def test_perturb_valid_and_bounded(g, seed):
-    out, applied, skipped = perturb_trace(g, 3, seed)
+    out, applied = perturb_trace(g, 3, seed)
     assert validate(out) == []
-    assert len(applied) <= 3
+    assert len(applied) == 3  # inserting a node is always applicable
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    graphs_strategy(max_n=9),
+    st.integers(0, 5),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([None, 1, 3]),
+)
+def test_perturb_picks_the_operator_the_listed_operators_give(g, k, seed, alphabet_size):
+    # the labels are drawn from 0..2, so an alphabet of 1 is narrower than
+    # the graph's: no relabel is listed, and inserted nodes get label 0
+    got = perturb_trace(g, k, seed, alphabet_size)
+    assert got == perturb_reference.perturb_trace(g, k, seed, alphabet_size)
 
 
 def test_perturb_zero_is_identity():
@@ -120,7 +135,7 @@ def test_perturb_node_delete_counts_incident_edges():
     # one edit can never delete a node that has any incident edge
     g = Graph.make("g", [0, 0], [(0, 1)])
     for seed in range(30):
-        out, applied, _ = perturb_trace(g, 1, seed)
+        out, applied = perturb_trace(g, 1, seed)
         kinds = [op[0] for op in applied]
         if "node-delete" in kinds:
             raise AssertionError(f"node with an edge deleted in one edit: {applied}")
