@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ConfigError, load_config, parse_temperature
-from .dataset import read_dataset, write_dataset
+from .dataset import read_dataset, read_json, write_dataset
 from .encoder import LAYER_PARAMS, READOUTS, enhanced_layer, readout
 from .fusion import ATTENTION_PARAMS, VARIANTS, diffatt_pair
 from .ged import BACKEND, GedBudgetExceeded, ged_exact
@@ -41,8 +41,7 @@ GRADCHECK_TOL = 1e-4
 
 def read_graph(path) -> Graph:
     """The valid graph in a JSON graph file; ValueError for any other file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, ValueError)
     try:
         g = Graph.from_json(doc)
     except ValueError as exc:

@@ -13,15 +13,17 @@ shortest round-trip form, so a round-trip is bit-exact; an integral float
 below 1e17 in magnitude is written as an integer (``1.0`` as ``1``). NaN,
 infinities and numbers beyond double range can be neither written nor read.
 
-The file is the output of ``json.dump(dataset_to_json(ds), fh, indent=1)``
-followed by a newline, byte for byte. ``write_dataset`` fills that layout
-into a template (``dataset_text``) instead of running ``json``'s
-pure-Python indenting encoder, which took most of the writing time; it
-escapes each distinct graph id and split once. It checks the dataset with
-``Dataset.validate`` first, field types included, so it refuses whatever
-``read_dataset`` would refuse before it opens the file. The pair labels
-come from ``ged_exact``'s cost alone; the edit paths behind them are never
-built while labeling.
+The file is what ``json.dump(doc, fh, indent=1)`` and a newline write for
+the document above, with its keys in the order shown, byte for byte.
+``dataset_text`` fills that layout into a template instead of running
+``json``'s pure-Python indenting encoder, which took most of the writing
+time; it escapes each distinct graph id and split once. ``write_dataset``
+checks the dataset with ``Dataset.validate`` first, field types included,
+so it refuses whatever ``read_dataset`` would refuse before it opens the
+file. ``read_dataset`` checks only what building the records needs, and
+leaves every other field to ``validate``. The pair labels come from
+``ged_exact``'s cost alone; the edit paths behind them are never built
+while labeling.
 
 A pair is a ``PairRecord``, a ``NamedTuple``. A labeled dataset keeps tens
 of thousands of them, and a tuple takes a quarter less memory than a frozen
@@ -103,8 +105,9 @@ class Dataset:
             if type(ged) is not int:
                 violations.append(f"pair {idx}: ged {ged!r} is not an integer")
                 continue
-            if not (isinstance(nged, (int, float)) and isinstance(sim, (int, float))):
-                violations.append(f"pair {idx}: nged and sim must be numbers")
+            if (type(nged) is bool or type(sim) is bool
+                    or not (isinstance(nged, (int, float)) and isinstance(sim, (int, float)))):
+                violations.append(f"pair {idx}: nged and sim must be numbers, not booleans")
                 continue
             si, sj = sizes.get(i), sizes.get(j)
             if si is None or sj is None:
@@ -133,6 +136,21 @@ class DatasetFormatError(ValueError):
     pass
 
 
+def read_json(path, error):
+    """The JSON document in the file at ``path``, read as UTF-8. Raises
+    ``error``, the caller's ValueError subclass, for a file that is not
+    UTF-8, not JSON, or nests too deeply for ``json`` to parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: byte {exc.start}: not UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except RecursionError:
+            raise error(f"{path}: nested too deeply") from None
+
+
 def json_float(x) -> int | float:
     """``x`` as the JSON writers hold it: ``json.loads(format(x, ".17g"))``,
     computed without the string.
@@ -150,43 +168,12 @@ def json_float(x) -> int | float:
     return x
 
 
-def dataset_to_json(ds: Dataset) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "alphabet": list(ds.alphabet),
-        "graphs": [
-            {
-                "id": g.id,
-                "labels": list(g.labels),
-                "edges": [[u, v] for u, v in sorted(g.edges)],
-            }
-            for g in ds.graphs
-        ],
-        "pairs": [
-            {
-                "i": p.i,
-                "j": p.j,
-                "ged": p.ged,
-                "nged": json_float(p.nged),
-                "sim": json_float(p.sim),
-                "split": p.split,
-            }
-            for p in ds.pairs
-        ],
-    }
-
-
 def _pair_from_json(rec) -> PairRecord:
     if not isinstance(rec, dict):
         raise ValueError("record must be an object")
     missing = [key for key in PairRecord._fields if key not in rec]
     if missing:
         raise ValueError(f"record lacks {', '.join(missing)}")
-    for key in ("i", "j", "split"):
-        if not isinstance(rec[key], str):
-            raise ValueError(f"{key} {rec[key]!r} is not a string")
-    if type(rec["ged"]) is not int:
-        raise ValueError(f"ged {rec['ged']!r} is not an integer")
     for key in ("nged", "sim"):
         x = rec[key]
         # not math.isfinite, which raises OverflowError on a JSON integer
@@ -211,8 +198,6 @@ def dataset_from_json(doc: dict) -> Dataset:
             raise DatasetFormatError(f"missing field {key!r}")
         if not isinstance(doc[key], list):
             raise DatasetFormatError(f"field {key!r} must be a list")
-    if not all(isinstance(sym, str) for sym in doc["alphabet"]):
-        raise DatasetFormatError("alphabet must be a list of strings")
     graphs = []
     for idx, rec in enumerate(doc["graphs"]):
         try:
@@ -269,8 +254,8 @@ class _NumberText(dict):
 
 
 def dataset_text(ds: Dataset) -> str:
-    """``json.dumps(dataset_to_json(ds), indent=1) + "\\n"``, filled into a
-    template of the fixed schema.
+    """The file layout of the module docstring, as ``json.dumps(doc,
+    indent=1) + "\\n"`` writes it, filled into a template of the fixed schema.
 
     ``json`` lays out indented documents with its pure-Python encoder; the
     template writes the same bytes several times faster. Strings go through
@@ -313,9 +298,4 @@ def write_dataset(ds: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: line {exc.lineno}: {exc.msg}")
-    return dataset_from_json(doc)
+    return dataset_from_json(read_json(path, DatasetFormatError))

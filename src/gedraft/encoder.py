@@ -188,31 +188,28 @@ def _gca(x: Tensor, weight: Tensor, mask: np.ndarray) -> Tensor:
     return ad.fused(out, [x, x, weight, x], grads)
 
 
-def readout(x, kind: str, weight=None, mask=None) -> Tensor:
-    """Aggregate node features (n, h) or (B, n, h) into graph vector(s);
-    gca takes batched (B, n, h) features only.
+def readout(x, kind: str, weight, mask) -> Tensor:
+    """Aggregate batched node features (B, n, h) into graph vectors (B, h).
 
-    ``mask`` (n, 1) or (B, n, 1) is 1 on real nodes and 0 on padding, and
-    defaults to all real. Mean and sum reduce over real nodes, max adds -inf
-    to padded rows, and gca masks its context mean and its scores.
+    ``mask`` (B, n, 1) is 1 on real nodes and 0 on padding, and ``weight``
+    is gca's matrix (None for the other kinds). Mean and sum reduce over
+    real nodes, max adds -inf to padded rows, and gca masks its context
+    mean and its scores.
     """
     x = ad.as_tensor(x)
-    node_axis = x.ndim - 2
-    if mask is None:
-        mask = np.ones(x.shape[:-1] + (1,))
+    if x.ndim != 3:
+        raise ad.ShapeError(f"readout needs features (B, n, h), got {x.shape}")
     if kind == "max":
         padding = Tensor(np.where(mask > 0, 0.0, -np.inf))
-        return ad.reduce_max(ad.add(x, padding), axis=node_axis)
+        return ad.reduce_max(ad.add(x, padding), axis=1)
     if kind == "sum":
-        return ad.reduce_sum(ad.mul(x, Tensor(mask)), axis=node_axis)
+        return ad.reduce_sum(ad.mul(x, Tensor(mask)), axis=1)
     if kind == "mean":
-        mean_weights = Tensor(mask / mask.sum(axis=node_axis, keepdims=True))
-        return ad.reduce_sum(ad.mul(x, mean_weights), axis=node_axis)
+        mean_weights = Tensor(mask / mask.sum(axis=1, keepdims=True))
+        return ad.reduce_sum(ad.mul(x, mean_weights), axis=1)
     if kind == "gca":
         if weight is None:
             raise ValueError("gca readout needs its weight matrix")
-        if x.ndim != 3:
-            raise ad.ShapeError(f"gca readout needs features (B, n, h), got {x.shape}")
         return _gca(x, weight, mask)
     raise ValueError(f"unknown readout {kind!r}")
 

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from . import fusion as fus
 from .autodiff import Tensor
-from .dataset import json_float
+from .dataset import json_float, read_json
 from .graphs import Graph
 
 CHECKPOINT_VERSION = "1"
@@ -238,11 +238,7 @@ def load_checkpoint(path):
     """Returns (params, config, None): the third value is always None, kept
     for callers that unpack three. CheckpointError for a file that is not a
     checkpoint of the current version, or has any other top-level key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: line {exc.lineno}: {exc.msg}")
+    doc = read_json(path, CheckpointError)
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: a checkpoint is a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -155,13 +155,11 @@ def enhanced_layer(x, adjacency, params: dict, prefix: str) -> Tensor:
 _fused_readout = encoder.readout
 
 
-def readout(x, kind: str, weight=None, mask=None) -> Tensor:
+def readout(x, kind: str, weight, mask) -> Tensor:
     """``encoder.readout`` with the gca branch composed."""
     if kind != "gca":
         return _fused_readout(x, kind, weight, mask)
     x = ad.as_tensor(x)
-    if mask is None:
-        mask = np.ones(x.shape[:-1] + (1,))
     mean_weights = Tensor(mask / mask.sum(axis=1, keepdims=True))
     mean = ad.reduce_sum(ad.mul(x, mean_weights), axis=1)
     context = ad.tanh(ad.matmul(mean, weight))

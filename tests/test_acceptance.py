@@ -22,7 +22,7 @@ import pytest
 
 from gedraft import cli
 from gedraft.autodiff import Tensor
-from gedraft.dataset import dataset_to_json
+from gedraft.dataset import dataset_text
 from gedraft.fusion import diffatt_pair, init_fusion_params
 from gedraft.ged import ged_bruteforce, ged_exact
 from gedraft.graphs import generate_er, permute, random_walk_subgraph
@@ -338,7 +338,7 @@ def test_criterion_9_bit_identical_reproducibility(tmp_path):
               pairs_per_graph=4)
     ds_a, _ = build_dataset(**kw)
     ds_b, _ = build_dataset(**kw)
-    data_ok = dataset_to_json(ds_a) == dataset_to_json(ds_b)
+    data_ok = dataset_text(ds_a) == dataset_text(ds_b)
     cfg = ModelConfig(alphabet_size=3, hidden=8, layers=1, readout="mean",
                       fusion="abs", seed=9)
     tc = TrainConfig(epochs=2, batch_size=16, lr=0.003, validations=4, seed=9)

@@ -9,7 +9,7 @@ from gedraft.dataset import (
     DatasetFormatError,
     PairRecord,
     dataset_from_json,
-    dataset_to_json,
+    dataset_text,
     read_dataset,
     write_dataset,
 )
@@ -126,6 +126,12 @@ def _with_graph(ds, labels=None, edges=None):
         (lambda ds: _with_pair(ds, i=["a"]), r"pair 0: graph ids \['a'\], 'b' must be strings"),
         (lambda ds: _with_pair(ds, nged="0.8"), "pair 0: nged and sim must be numbers"),
         (lambda ds: _with_pair(ds, sim=None), "pair 0: nged and sim must be numbers"),
+        # nged 1 and sim 1 are the labels these pairs need, so only the type
+        # check refuses them; the writer would write True as 1
+        (lambda ds: _with_pair(ds, j="c", ged=2, nged=True, sim=math.exp(-1)),
+         "pair 0: nged and sim must be numbers, not booleans"),
+        (lambda ds: _with_pair(ds, ged=0, nged=0.0, sim=True),
+         "pair 0: nged and sim must be numbers, not booleans"),
         # validate raised OverflowError on these
         (lambda ds: _with_pair(ds, nged=10**400), "pair 0: nged or sim beyond double range"),
         (lambda ds: _with_pair(ds, sim=10**400), "pair 0: nged or sim beyond double range"),
@@ -148,22 +154,30 @@ def test_write_refuses_what_read_refuses_before_opening_the_file(small_ds, tmp_p
     assert not path.exists()
 
 
+@pytest.mark.parametrize("nged, sim", [(1, math.exp(-1)), (1.0, np.float64(math.exp(-1)))])
+def test_validate_takes_int_float_and_numpy_float_labels(small_ds, tmp_path, nged, sim):
+    ds = _with_pair(small_ds, j="c", ged=2, nged=nged, sim=sim)
+    assert ds.validate() == []
+    write_dataset(ds, tmp_path / "ds.json")
+    assert read_dataset(tmp_path / "ds.json").pairs[0] == ds.pairs[0]
+
+
 def test_unknown_version_rejected(small_ds):
-    doc = dataset_to_json(small_ds)
+    doc = json.loads(dataset_text(small_ds))
     doc["version"] = "99"
     with pytest.raises(DatasetFormatError, match="version"):
         dataset_from_json(doc)
 
 
 def test_missing_field_rejected(small_ds):
-    doc = dataset_to_json(small_ds)
+    doc = json.loads(dataset_text(small_ds))
     del doc["graphs"]
     with pytest.raises(DatasetFormatError, match="graphs"):
         dataset_from_json(doc)
 
 
 def test_malformed_graph_record_reports_index(small_ds):
-    doc = dataset_to_json(small_ds)
+    doc = json.loads(dataset_text(small_ds))
     del doc["graphs"][1]["labels"]
     with pytest.raises(DatasetFormatError, match="graph 1"):
         dataset_from_json(doc)
@@ -177,7 +191,7 @@ def test_malformed_json_reports_line(tmp_path):
 
 
 def test_edges_written_sorted(small_ds):
-    doc = dataset_to_json(small_ds)
+    doc = json.loads(dataset_text(small_ds))
     for rec in doc["graphs"]:
         assert rec["edges"] == sorted(rec["edges"])
 
@@ -211,7 +225,7 @@ def test_edges_written_sorted(small_ds):
     ],
 )
 def test_malformed_documents_rejected(small_ds, edit, message):
-    doc = json.loads(json.dumps(dataset_to_json(small_ds)))
+    doc = json.loads(dataset_text(small_ds))
     dataset_from_json(doc)
     edit(doc)
     with pytest.raises(DatasetFormatError, match=message):
@@ -219,7 +233,7 @@ def test_malformed_documents_rejected(small_ds, edit, message):
 
 
 def test_integral_labels_load_as_floats(small_ds):
-    doc = dataset_to_json(small_ds)
+    doc = json.loads(dataset_text(small_ds))
     doc["pairs"] = [{"i": "a", "j": "a", "ged": 0, "nged": 0, "sim": 1, "split": "train"}]
     (p,) = dataset_from_json(doc).pairs
     assert (type(p.nged), type(p.sim)) == (float, float)

@@ -68,24 +68,30 @@ def test_gca_closed_form():
     # two identical unit feature vectors with identity weight:
     # context = tanh(mean) = tanh(1), score = sigmoid(tanh(1)) per node,
     # pooled = 2 * sigmoid(tanh(1)) in the active dimension
-    x = np.array([[1.0, 0.0], [1.0, 0.0]])
+    x = np.array([[[1.0, 0.0], [1.0, 0.0]]])
     w = Tensor(np.eye(2))
-    out = readout(Tensor(x[None]), "gca", w).values[0]
+    out = readout(Tensor(x), "gca", w, np.ones((1, 2, 1))).values[0]
     assert out[0] == pytest.approx(2 * SIGMOID_TANH_1, abs=1e-15)
     assert out[1] == 0.0
-    with pytest.raises(ad.ShapeError):  # gca reads batched (B, n, h) features only
-        readout(Tensor(x), "gca", w)
 
 
 def test_simple_readouts():
-    x = Tensor(np.array([[1.0, 4.0], [3.0, 2.0]]))
-    assert np.array_equal(readout(x, "mean").values, [2.0, 3.0])
-    assert np.array_equal(readout(x, "max").values, [3.0, 4.0])
-    assert np.array_equal(readout(x, "sum").values, [4.0, 6.0])
+    x = Tensor(np.array([[[1.0, 4.0], [3.0, 2.0]]]))
+    mask = np.ones((1, 2, 1))
+    assert np.array_equal(readout(x, "mean", None, mask).values, [[2.0, 3.0]])
+    assert np.array_equal(readout(x, "max", None, mask).values, [[3.0, 4.0]])
+    assert np.array_equal(readout(x, "sum", None, mask).values, [[4.0, 6.0]])
     with pytest.raises(ValueError):
-        readout(x, "gca")  # needs its weight
+        readout(x, "gca", None, mask)  # needs its weight
     with pytest.raises(ValueError):
-        readout(x, "median")
+        readout(x, "median", None, mask)
+
+
+@pytest.mark.parametrize("kind", READOUTS)
+def test_readouts_read_batched_features_only(kind):
+    w = Tensor(np.eye(2))
+    with pytest.raises(ad.ShapeError):
+        readout(Tensor(np.ones((2, 2))), kind, w, np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("kind", READOUTS)
@@ -156,8 +162,9 @@ def test_max_readout_ignores_padding_of_negative_features():
     x = np.array([[[-1.0, -4.0], [-3.0, -0.5], [0.0, 0.0]],
                   [[-2.0, -1.0], [-5.0, -6.0], [-7.0, -0.25]]])
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])[:, :, None]
-    padded = readout(Tensor(x), "max", mask=mask).values
-    assert np.array_equal(padded[0], readout(Tensor(x[0, :2]), "max").values)
+    padded = readout(Tensor(x), "max", None, mask).values
+    alone = readout(Tensor(x[:1, :2]), "max", None, np.ones((1, 2, 1))).values
+    assert np.array_equal(padded[0], alone[0])
     assert np.array_equal(padded[0], [-1.0, -0.5])
     assert np.array_equal(padded[1], [-2.0, -0.25])
 

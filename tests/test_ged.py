@@ -367,6 +367,11 @@ def test_kernel_rejects_labels_outside_alphabet(kernel, labels1, labels2, alphab
         kernel.solve(*args)
 
 
+def test_kernel_rejects_a_negative_alphabet(kernel):
+    with pytest.raises(ValueError, match=r"^alphabet_size must be >= 0, got -1$"):
+        kernel.solve(0, [], [], 0, [], [], -1, 100)
+
+
 @pytest.mark.parametrize(
     "adj1, adj2, message",
     [

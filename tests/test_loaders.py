@@ -9,18 +9,22 @@ checks and what runs after a successful load are reached.
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gedraft.cli import EXIT_OK, EXIT_USAGE, main, read_graph
-from gedraft.dataset import SPLITS, read_dataset, write_dataset
+from gedraft.dataset import SPLITS, DatasetFormatError, read_dataset, write_dataset
 from gedraft.encoder import READOUTS
 from gedraft.fusion import VARIANTS
 from gedraft.graphs import Graph
-from gedraft.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from gedraft.model import (
+    CheckpointError, ModelConfig, init_params, load_checkpoint, save_checkpoint,
+)
 from gedraft.synth import build_dataset
 
 SETTINGS = settings(
@@ -166,3 +170,51 @@ def test_checkpoint_files_load_or_exit_2(doc):
         write_dataset(EVAL_DATASET, data)
         code = main(["eval", "--dataset", data, "--checkpoint", path])
         assert code in ((EXIT_OK, EXIT_USAGE) if loaded else (EXIT_USAGE,))
+
+
+# a document nested past the recursion limit of any interpreter's JSON
+# parser, and one that is not UTF-8, with the error each is refused with
+UNREADABLE = pytest.mark.parametrize("content, message", [
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply", id="deep"),
+    pytest.param(b'{"id": "\xff"}', "byte 8: not UTF-8", id="not-utf-8"),
+])
+
+
+@UNREADABLE
+@pytest.mark.parametrize(
+    "load, error",
+    [(read_graph, ValueError), (read_dataset, DatasetFormatError),
+     (load_checkpoint, CheckpointError)],
+)
+def test_loaders_refuse_a_file_json_cannot_parse(tmp_path, load, error, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: {message}$"):
+        load(path)
+
+
+@UNREADABLE
+@pytest.mark.parametrize(
+    "command",
+    [
+        "ged --a {bad} --b {graph}",
+        "train --dataset {bad} --out {out}",
+        "eval --dataset {bad} --checkpoint {model} --out {out}",
+        "eval --dataset {data} --checkpoint {bad} --out {out}",
+        "resat --dataset {bad} --checkpoint m={model} --out {out}",
+        "resat --dataset {data} --checkpoint m={bad} --out {out}",
+    ],
+)
+def test_commands_exit_2_on_a_file_json_cannot_parse(tmp_path, capsys, command, content, message):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("bad", "graph", "data", "model", "out")}
+    Path(paths["bad"]).write_bytes(content)
+    Path(paths["graph"]).write_text(json.dumps({"id": "one", "labels": [0], "edges": []}))
+    write_dataset(EVAL_DATASET, paths["data"])
+    cfg = ModelConfig(alphabet_size=3, hidden=2, layers=1)
+    save_checkpoint(init_params(cfg), cfg, paths["model"])
+    code = main([arg.format(**paths) for arg in command.split()])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    # one error line and no traceback
+    assert (captured.err, captured.out) == (f"error: {paths['bad']}: {message}\n", "")
+    assert not Path(paths["out"]).exists()
