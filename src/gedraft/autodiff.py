@@ -2,12 +2,12 @@
 
 Double precision throughout. The operator set is exactly what the model
 needs: elementwise add, sub and mul, matmul on operands of 2+ dimensions,
-linear (x @ W + b as one node), reshape, concat, row gather, abs, relu,
-tanh and sigmoid, sum over axes, max over one axis, and MSE loss. A model
-block that would otherwise record many of these nodes is one ``fused``
-node instead: it computes its value and all of its gradients in NumPy and
-records one tape node (the encoder layer, the gca readout and difference
-attention).
+reshape, concat, row gather, abs, relu, tanh and sigmoid, sum over axes,
+max over one axis, and MSE loss. A model block that would otherwise record
+many of these nodes is one ``fused`` node instead: it computes its value
+and all of its gradients in NumPy and records one tape node (a dense relu
+MLP, ``dense``; the encoder layer, the gca readout and difference
+attention, which run their MLPs through ``dense_values``).
 
 Broadcasting is limited to bias addition over the last axis and leading
 batch dimensions in matmul/elementwise ops; gradients of broadcast
@@ -221,21 +221,18 @@ def matmul_grad_right(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
     return unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), shape)
 
 
-def _matmul_values(a: Tensor, b: Tensor) -> np.ndarray:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-D or batched operands, got {a.shape} and {b.shape}")
-    try:
-        return np.matmul(a.values, b.values)
-    except ValueError:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} incompatible")
-
-
 def matmul(a, b) -> Tensor:
     """Batched matrix product; both operands have 2 or more dimensions."""
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.values, b.values
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs 2-D or batched operands, got {a.shape} and {b.shape}")
+    try:
+        values = np.matmul(av, bv)
+    except ValueError:
+        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} incompatible")
     return _make(
-        _matmul_values(a, b),
+        values,
         [
             (a, lambda g: matmul_grad_left(g, bv, a.shape)),
             (b, lambda g: matmul_grad_right(av, g, b.shape)),
@@ -243,21 +240,42 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b as one node. With b broadcast over the rows of x @ w, the
-    values and gradients equal add(matmul(x, w), b) bit for bit."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    xv, wv = x.values, w.values
-    prod = _matmul_values(x, w)
-    _check_broadcast(prod.shape, b.shape)
-    return _make(
-        prod + b.values,
-        [
-            (x, lambda g: matmul_grad_left(g, wv, x.shape)),
-            (w, lambda g: matmul_grad_right(xv, g, w.shape)),
-            (b, lambda g: unbroadcast(g, b.shape)),
-        ],
-    )
+def dense_values(x: np.ndarray, layers, need_x: bool):
+    """x @ W1 + b1 -> relu -> ... -> @ Wk + bk over arrays, for the
+    (W, b) pairs of ``layers``: the output, and ``grads(g)``, which returns
+    the contributions to x, W1, b1, W2, ... in that order (x's is None
+    unless ``need_x``). Each expression is the composed matmul, add and
+    relu ops', so values and gradients keep their bits."""
+    inputs = []
+    for k, (w, b) in enumerate(layers):
+        if k:
+            x = x * (x > 0)
+        inputs.append(x)
+        x = np.matmul(x, w) + b
+
+    def grads(g):
+        out = []
+        for k in reversed(range(len(layers))):
+            (w, b), a = layers[k], inputs[k]
+            out[:0] = [matmul_grad_right(a, g, w.shape), unbroadcast(g, b.shape)]
+            if k:
+                # relu passes g where its output, and so its input, is > 0
+                g = matmul_grad_left(g, w, a.shape) * (a > 0)
+        g_x = matmul_grad_left(g, layers[0][0], inputs[0].shape) if need_x else None
+        return [g_x, *out]
+
+    return x, grads
+
+
+def dense(x, layers) -> Tensor:
+    """``dense_values`` over tensors as one node: ``layers`` holds (W, b)
+    tensor pairs, x is 2-D or batched. A constant x gets no gradient."""
+    x = as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"dense needs 2-D or batched input, got {x.shape}")
+    out, grads = dense_values(x.values, [(w.values, b.values) for w, b in layers],
+                              x.requires_grad)
+    return fused(out, [x, *(t for layer in layers for t in layer)], grads)
 
 
 def reshape(a, shape) -> Tensor:

@@ -193,6 +193,14 @@ def _gradcheck_cases():
     weights = ad.Tensor(rng.uniform(-1, 1, (2, 3, 4)))
     graph_weights = ad.Tensor(rng.uniform(-1, 1, (2, 4)))
     pair_weights = ad.Tensor(rng.uniform(-1, 1, (2, 8)))
+    # three dense layers whose relus see no pre-activation within 0.6 of the
+    # kink: x is positive and each hidden column's weights share one sign
+    signs = np.array([1.0, -1.0, 1.0])
+    dense_x, *dense_layers = (ad.Tensor(v, requires_grad=True) for v in (
+        rng.uniform(0.5, 1.5, (2, 3, 4)),
+        rng.uniform(0.5, 1.5, (4, 3)) * signs, rng.uniform(-0.2, 0.2, 3),
+        rng.uniform(0.5, 1.5, (3, 3)) * signs, rng.uniform(-0.2, 0.2, 3),
+        rng.uniform(-0.3, 0.3, (3, 2)), rng.uniform(-0.3, 0.3, 2)))
 
     def enhanced(x, *p):
         out = enhanced_layer(x, adjacency, {f"l.{n}": v for n, v in zip(LAYER_PARAMS, p)}, "l")
@@ -221,8 +229,8 @@ def _gradcheck_cases():
         "reduce_sum": (lambda a: ad.reduce_sum(ad.reduce_sum(a, axis=0)), [t((4, 3))]),
         "reduce_max": (lambda a: ad.reduce_sum(ad.reduce_max(a, axis=0)), [t((4, 3))]),
         "mse_loss": (lambda a, b: ad.mse_loss(a, b), [t((5,)), t((5,))]),
-        "linear": (lambda x, w, b: ad.reduce_sum(ad.tanh(ad.linear(x, w, b))),
-                   [t((2, 3, 4)), t((4, 2)), t((2,))]),
+        "dense": (lambda x, *p: ad.reduce_sum(ad.tanh(ad.dense(x, [p[:2], p[2:4], p[4:]]))),
+                  [dense_x, *dense_layers]),
         "enhanced_layer": (enhanced, [t((2, 3, 4)), t(()), t((4, 4)), t((4,)), t((4,)),
                                       t((4,)), t((4, 4)), t((4,)), t((4, 4)), t((4,))]),
         "gca_readout": (gca, [t((2, 3, 4)), t((4, 4))]),

@@ -25,11 +25,12 @@ The keys of ``[model]`` are the fields of ``ModelConfig`` except
 fields of ``TrainConfig``. Each value is parsed as its field's type;
 ``temperature`` is ``learnable`` or a number. A comment takes a line of its
 own. Every section and every key is optional: what is left out keeps the
-field's default, as shown above. A file that configparser cannot parse, an
-unknown section (``[DEFAULT]`` included) or key, and a value that does not
-parse raise ``ConfigError``; the dataclasses check the ranges. Flags given on
-the command line override file values, and every run emits its fully
-resolved configuration in its report file.
+field's default, as shown above. The file is read as UTF-8. A file that is
+not UTF-8 or that configparser cannot parse, an unknown section
+(``[DEFAULT]`` included) or key, and a value that does not parse raise
+``ConfigError``; the dataclasses check the ranges. Flags given on the
+command line override file values, and every run emits its fully resolved
+configuration in its report file.
 """
 
 from __future__ import annotations
@@ -66,11 +67,14 @@ def load_config(path) -> dict:
     # section is an unknown one rather than defaults for the others
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_string(fh.read(), source=str(path))
+    except OSError:
+        raise ConfigError(f"cannot read config file {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start}: not UTF-8") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     out = {section: {} for section in SECTIONS}
     for section in parser.sections():
         if section not in SECTIONS:

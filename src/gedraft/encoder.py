@@ -10,9 +10,9 @@ Each enhanced layer and each gca readout is one fused autodiff node
 elementary ops bit for bit, at one tape node instead of a dozen.
 
 ``init_mlp`` makes the parameters of every relu MLP of the model stack.
-``mlp`` runs the efn fusion MLP, the regressor and the RESAT probe; the
-feed-forward blocks and the difference attention MLP run inside their
-fused nodes.
+``mlp`` runs the efn fusion MLP, the regressor and the RESAT probe as one
+``ad.dense`` node each; the feed-forward blocks and the difference
+attention MLP run the same ``ad.dense_values`` inside their fused nodes.
 
 A batch of graphs is encoded in one pass: node features and adjacency are
 zero-padded to the batch's largest graph, and a node mask keeps the padded
@@ -64,12 +64,10 @@ def init_mlp(rng: np.random.Generator, widths, prefix: str) -> dict:
 
 
 def mlp(x, params: dict, prefix: str, depth: int) -> Tensor:
-    """``depth`` linear layers with a relu between layers, none after the last."""
-    for k in range(1, depth + 1):
-        x = ad.linear(x, params[f"{prefix}.W{k}"], params[f"{prefix}.b{k}"])
-        if k < depth:
-            x = ad.relu(x)
-    return x
+    """``depth`` linear layers with a relu between layers, none after the
+    last, as one ``ad.dense`` node."""
+    return ad.dense(x, [(params[f"{prefix}.W{k}"], params[f"{prefix}.b{k}"])
+                        for k in range(1, depth + 1)])
 
 
 def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> dict:
@@ -98,11 +96,11 @@ def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> dict:
 def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tensor:
     """FFN(x + GIN(x)) as one tape node, where GIN(x) is
     relu(layer_norm(((1 + eps) * x + A x) W + b)) and FFN is a two-layer relu
-    MLP.
+    MLP; the GIN linear and the FFN run through ``ad.dense_values``.
 
     x is (B, n, h) with adjacency A (B, n, n). The value and the gradients
-    are those of the composed ops (add, mul, matmul, linear, layer norm,
-    relu) bit for bit: each expression is theirs, in their order.
+    are those of the composed ops (add, mul, matmul, layer norm, relu) bit
+    for bit: each expression is theirs, in their order.
     """
     x = ad.as_tensor(x)
     p = [params[f"{prefix}.{name}"] for name in LAYER_PARAMS]
@@ -110,7 +108,7 @@ def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tenso
     xv = x.values
     scale = eps + 1.0
     agg = xv * scale + np.matmul(adjacency, xv)
-    lin = np.matmul(agg, w) + b
+    lin, gin_grads = ad.dense_values(agg, [(w, b)], True)
     mu = lin.mean(axis=-1, keepdims=True)
     var = lin.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
@@ -118,20 +116,10 @@ def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tenso
     normed = xhat * gain + bias
     gin_on = normed > 0
     res = xv + normed * gin_on
-    hid = np.matmul(res, w1) + b1
-    hid_on = hid > 0
-    act = hid * hid_on
-    out = np.matmul(act, w2) + b2
+    out, ffn_grads = ad.dense_values(res, [(w1, b1), (w2, b2)], True)
 
     def grads(g):
-        shape = x.shape
-        g_act = ad.matmul_grad_left(g, w2, act.shape)
-        g_w2 = ad.matmul_grad_right(act, g, w2.shape)
-        g_b2 = ad.unbroadcast(g, b2.shape)
-        g_hid = g_act * hid_on
-        g_res = ad.matmul_grad_left(g_hid, w1, shape)
-        g_w1 = ad.matmul_grad_right(res, g_hid, w1.shape)
-        g_b1 = ad.unbroadcast(g_hid, b1.shape)
+        g_res, *g_ffn = ffn_grads(g)
         g_normed = g_res * gin_on
         dxhat = g_normed * gain
         m1 = dxhat.mean(axis=-1, keepdims=True)
@@ -140,14 +128,11 @@ def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tenso
         lead = tuple(range(xv.ndim - 1))
         g_gain = (g_normed * xhat).sum(axis=lead)
         g_bias = g_normed.sum(axis=lead)
-        g_agg = ad.matmul_grad_left(g_lin, w, shape)
-        g_w = ad.matmul_grad_right(agg, g_lin, w.shape)
-        g_b = ad.unbroadcast(g_lin, b.shape)
-        g_x_adj = ad.matmul_grad_right(adjacency, g_agg, shape)
+        g_agg, g_w, g_b = gin_grads(g_lin)
+        g_x_adj = ad.matmul_grad_right(adjacency, g_agg, x.shape)
         g_x_self = g_agg * scale
         g_eps = ad.unbroadcast(g_agg * xv, ())
-        return [g_res, g_x_adj, g_x_self, g_eps, g_w, g_b, g_gain, g_bias,
-                g_w1, g_b1, g_w2, g_b2]
+        return [g_res, g_x_adj, g_x_self, g_eps, g_w, g_b, g_gain, g_bias, *g_ffn]
 
     # x three times: the residual, the neighbour sum and the self term hand
     # it their gradients in that order
@@ -257,7 +242,7 @@ def encode_graphs(graphs: list[Graph], params: dict, cfg: ModelConfig) -> list[T
         w = params.get(f"encoder.gca.W{k}") if cfg.readout == "gca" else None
         return readout(x, cfg.readout, w, mask)
 
-    x = ad.linear(Tensor(xs), params["encoder.proj.W"], params["encoder.proj.b"])
+    x = ad.dense(Tensor(xs), [(params["encoder.proj.W"], params["encoder.proj.b"])])
     scales = [read(x, 0)]
     for k in range(1, cfg.layers + 1):
         x = enhanced_layer(x, adjacency, params, f"encoder.layer{k}")

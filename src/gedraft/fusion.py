@@ -69,8 +69,9 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
     alpha = softmax(MLP(|h_i - h_j|) / t) rescales both embeddings
     element-wise, u = alpha * h; with a learnable temperature
     t = exp(log_t). The value and the gradients are those of the composed
-    ops (sub, abs, linear, relu, exp, mul, softmax, concat) bit for bit:
-    each expression is theirs, in their order.
+    ops (sub, abs, matmul, add, relu, exp, mul, softmax, concat) bit for
+    bit: each expression is theirs, in their order. The MLP runs through
+    ``ad.dense_values``.
     """
     h_i, h_j = ad.as_tensor(h_i), ad.as_tensor(h_j)
     learnable = temperature == "learnable"
@@ -79,10 +80,7 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
     hi, hj = h_i.values, h_j.values
     diff = hi - hj
     mag = np.abs(diff)
-    hid = np.matmul(mag, w1) + b1
-    hid_on = hid > 0
-    act = hid * hid_on
-    logits = np.matmul(act, w2) + b2
+    logits, mlp_grads = ad.dense_values(mag, [(w1, b1), (w2, b2)], True)
     if learnable:
         # t = 1 / exp(-log_t): the logits are scaled, then a t = 1 softmax
         scale = np.exp(p[0].values * -1.0)
@@ -106,15 +104,9 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
             g_log_t = [ad.unbroadcast(g_z * logits, ()) * scale * -1.0]
         else:
             g_logits, g_log_t = g_z, []
-        g_act = ad.matmul_grad_left(g_logits, w2, act.shape)
-        g_w2 = ad.matmul_grad_right(act, g_logits, w2.shape)
-        g_b2 = ad.unbroadcast(g_logits, b2.shape)
-        g_hid = g_act * hid_on
-        g_abs = ad.matmul_grad_left(g_hid, w1, diff.shape)
-        g_w1 = ad.matmul_grad_right(mag, g_hid, w1.shape)
-        g_b1 = ad.unbroadcast(g_hid, b1.shape)
+        g_abs, *g_mlp = mlp_grads(g_logits)
         g_diff = g_abs * np.sign(diff)
-        return [g_j * alpha, g_i * alpha, *g_log_t, g_w1, g_b1, g_w2, g_b2, g_diff, -g_diff]
+        return [g_j * alpha, g_i * alpha, *g_log_t, *g_mlp, g_diff, -g_diff]
 
     # h_j and h_i are handed their gradients through u_j, then u_i, then
     # again through |h_i - h_j|

@@ -477,29 +477,50 @@ connectivity_order(const Graph *g, int *lab, mask_t *adj, int *order)
     }
 }
 
+/* The integer obj as a long long in *out, clamped to LLONG_MIN..LLONG_MAX
+   so that a range check refuses it with a ValueError rather than an
+   OverflowError; -1 with an exception set if obj is not an integer. */
+static int
+clamped(PyObject *obj, long long *out)
+{
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow)
+        *out = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
 static PyObject *
 solve(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n1", "labels1", "adj1", "n2", "labels2", "adj2",
                              "alphabet_size", "budget", NULL};
-    int n1, n2, na;
-    long long budget;
-    PyObject *labels1, *adj1, *labels2, *adj2;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOiOOiL:solve", kwlist,
-                                     &n1, &labels1, &adj1, &n2, &labels2,
-                                     &adj2, &na, &budget))
+    long long n1_arg, n2_arg, na_arg, budget;
+    PyObject *n1_obj, *n2_obj, *na_obj, *labels1, *adj1, *labels2, *adj2;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOL:solve", kwlist,
+                                     &n1_obj, &labels1, &adj1, &n2_obj,
+                                     &labels2, &adj2, &na_obj, &budget)
+        || clamped(n1_obj, &n1_arg) < 0 || clamped(n2_obj, &n2_arg) < 0
+        || clamped(na_obj, &na_arg) < 0)
         return NULL;
-    if (n1 < 0 || n2 < 0 || n1 > MAX_NODES || n2 > MAX_NODES) {
+    if (n1_arg < 0 || n2_arg < 0 || n1_arg > MAX_NODES || n2_arg > MAX_NODES) {
         PyErr_Format(PyExc_ValueError,
-                     "graphs must have 0..%d nodes, got %d and %d", MAX_NODES,
-                     n1, n2);
+                     "graphs must have 0..%d nodes, got %S and %S", MAX_NODES,
+                     n1_obj, n2_obj);
         return NULL;
     }
-    if (na < 0) {
-        PyErr_Format(PyExc_ValueError, "alphabet_size must be >= 0, got %d",
-                     na);
+    if (na_arg < 0) {
+        PyErr_Format(PyExc_ValueError, "alphabet_size must be >= 0, got %S",
+                     na_obj);
         return NULL;
     }
+    if (na_arg > 2 * MAX_NODES) {
+        PyErr_Format(PyExc_ValueError,
+                     "alphabet_size must be at most %d, got %S", 2 * MAX_NODES,
+                     na_obj);
+        return NULL;
+    }
+    const int n1 = (int)n1_arg, n2 = (int)n2_arg, na = (int)na_arg;
     Graph g[2] = {{.n = n1}, {.n = n2}};
     if (read_graph("g1", labels1, adj1, na, &g[0]) < 0
         || read_graph("g2", labels2, adj2, na, &g[1]) < 0)
@@ -567,9 +588,9 @@ static PyMethodDef methods[] = {
     {"solve", (PyCFunction)(void (*)(void))solve, METH_VARARGS | METH_KEYWORDS,
      "solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget)\n--\n\n"
      "Exact unit-cost GED search; see gedraft.ged._astar_py.solve.\n"
-     "Raises ValueError for more than 64 nodes per graph, a label\n"
-     "outside 0..alphabet_size-1, or neighbour masks that are not those\n"
-     "of a simple undirected graph."},
+     "Raises ValueError for a node count outside 0..64, an alphabet_size\n"
+     "outside 0..128, a label outside 0..alphabet_size-1, or neighbour\n"
+     "masks that are not those of a simple undirected graph."},
     {NULL, NULL, 0, NULL},
 };
 

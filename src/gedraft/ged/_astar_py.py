@@ -97,15 +97,18 @@ def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
     runs out before optimality is proven, returns optimal=False with the best
     complete assignment found so far, at worst the greedy one, and its cost.
 
-    Raises ValueError for a graph with more than MAX_NODES nodes (the compiled
-    kernel's bitmask limit), a negative alphabet_size, a label outside
-    0..alphabet_size-1, or neighbour masks that are not those of a simple
-    undirected graph.
+    Raises ValueError for a graph with a node count outside 0..MAX_NODES
+    (the compiled kernel's bitmask limit), an alphabet_size outside
+    0..2 * MAX_NODES (a dense alphabet of two graphs' labels needs no more),
+    a label outside 0..alphabet_size-1, or neighbour masks that are not those
+    of a simple undirected graph.
     """
-    if n1 > MAX_NODES or n2 > MAX_NODES:
-        raise ValueError(f"graphs must have at most {MAX_NODES} nodes, got {n1} and {n2}")
+    if not (0 <= n1 <= MAX_NODES and 0 <= n2 <= MAX_NODES):
+        raise ValueError(f"graphs must have 0..{MAX_NODES} nodes, got {n1} and {n2}")
     if alphabet_size < 0:
         raise ValueError(f"alphabet_size must be >= 0, got {alphabet_size}")
+    if alphabet_size > 2 * MAX_NODES:
+        raise ValueError(f"alphabet_size must be at most {2 * MAX_NODES}, got {alphabet_size}")
     for lab in (*labels1, *labels2):
         if not 0 <= lab < alphabet_size:
             raise ValueError(f"label {lab} outside 0..{alphabet_size - 1}")

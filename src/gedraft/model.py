@@ -236,11 +236,19 @@ def save_checkpoint(params: dict, cfg: ModelConfig, path) -> None:
 
 def load_checkpoint(path):
     """Returns (params, config, None): the third value is always None, kept
-    for callers that unpack three. CheckpointError for a file that is not a
-    checkpoint of the current version, or has any other top-level key."""
+    for callers that unpack three. CheckpointError, naming ``path``, for a
+    file that is not a checkpoint of the current version, or has any other
+    top-level key."""
     doc = read_json(path, CheckpointError)
+    try:
+        return (*_checkpoint_from_json(doc), None)
+    except ValueError as exc:  # CheckpointError, or ModelConfig's refusal
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from_json(doc) -> tuple[dict, ModelConfig]:
     if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: a checkpoint is a JSON object")
+        raise CheckpointError("a checkpoint is a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unknown checkpoint version {doc.get('version')!r}; "
@@ -248,13 +256,10 @@ def load_checkpoint(path):
         )
     unknown = set(doc) - {"version", "config", "params"}
     if unknown:
-        raise CheckpointError(f"{path}: unknown top-level keys: {sorted(unknown)}")
-    try:
-        cfg = ModelConfig.from_json(doc.get("config"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}")
+        raise CheckpointError(f"unknown top-level keys: {sorted(unknown)}")
+    cfg = ModelConfig.from_json(doc.get("config"))
     if not isinstance(doc.get("params"), dict):
-        raise CheckpointError(f"{path}: params is not an object")
+        raise CheckpointError("params is not an object")
     arrays = {k: _array_from_json(v, f"parameter {k!r}") for k, v in doc["params"].items()}
     # init_params allocates whatever the config asks for, so check its widths
     # against three stored shapes first; the file's size then bounds it.
@@ -269,7 +274,7 @@ def load_checkpoint(path):
     extra = set(arrays) - set(shapes)
     if extra:
         raise CheckpointError(f"unexpected parameter names: {sorted(extra)}")
-    return {name: Tensor(arrays[name], requires_grad=True) for name in shapes}, cfg, None
+    return {name: Tensor(arrays[name], requires_grad=True) for name in shapes}, cfg
 
 
 def copy_params(params: dict) -> dict:

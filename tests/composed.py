@@ -1,11 +1,11 @@
 """The model blocks as composed autodiff ops: the reference the fused ops
 are compared with, bit for bit.
 
-``enhanced_layer``, ``readout`` and ``diffatt_pair`` build each block from
-one tape node per elementary op. The fused ops in ``gedraft.encoder`` and
-``gedraft.fusion`` must give the same values and the same gradients, to
-the bit; ``composed_model`` swaps these in for them, so a whole model can
-run either way. The elementary ops that only the blocks used live here
+``dense``, ``enhanced_layer``, ``readout`` and ``diffatt_pair`` build each
+block from one tape node per elementary op. The fused ops in
+``gedraft.autodiff``, ``gedraft.encoder`` and ``gedraft.fusion`` must give
+the same values and the same gradients, to the bit; ``composed_model``
+swaps these in for them, so a whole model can run either way. The elementary ops that only the blocks used live here
 too, with their gradient checks.
 """
 
@@ -125,6 +125,21 @@ def gradcheck_cases():
 # the blocks
 
 
+def dense(x, layers) -> Tensor:
+    """x @ W1 + b1 -> relu -> ... -> @ Wk + bk over the (W, b) pairs."""
+    for k, (w, b) in enumerate(layers):
+        if k:
+            x = ad.relu(x)
+        x = ad.add(ad.matmul(x, w), b)
+    return x
+
+
+def mlp(x, params: dict, prefix: str, depth: int) -> Tensor:
+    """``encoder.mlp`` on the composed ``dense``."""
+    return dense(x, [(params[f"{prefix}.W{k}"], params[f"{prefix}.b{k}"])
+                     for k in range(1, depth + 1)])
+
+
 def gin_aggregate(x, adjacency, eps) -> Tensor:
     """(1 + eps) * x_i + sum of neighbor features.
 
@@ -145,11 +160,11 @@ def gin_aggregate(x, adjacency, eps) -> Tensor:
 def enhanced_layer(x, adjacency, params: dict, prefix: str) -> Tensor:
     """x + GIN(x) through a feed-forward block: FFN(x + GIN(x))."""
     agg = gin_aggregate(x, adjacency, params[f"{prefix}.eps"])
-    lin = ad.linear(agg, params[f"{prefix}.gin.W"], params[f"{prefix}.gin.b"])
+    lin = dense(agg, [(params[f"{prefix}.gin.W"], params[f"{prefix}.gin.b"])])
     gin = ad.relu(
         layer_norm(lin, params[f"{prefix}.gin.ln.gain"], params[f"{prefix}.gin.ln.bias"])
     )
-    return encoder.mlp(ad.add(x, gin), params, f"{prefix}.ffn", 2)
+    return mlp(ad.add(x, gin), params, f"{prefix}.ffn", 2)
 
 
 _fused_readout = encoder.readout
@@ -171,7 +186,7 @@ def readout(x, kind: str, weight, mask) -> Tensor:
 
 def diffatt_pair(h_i, h_j, params: dict, temperature="learnable"):
     """([u_i, u_j], alpha) of difference attention."""
-    h_diff = encoder.mlp(ad.absolute(ad.sub(h_i, h_j)), params, "fusion.mlp", 2)
+    h_diff = mlp(ad.absolute(ad.sub(h_i, h_j)), params, "fusion.mlp", 2)
     if temperature == "learnable":
         scaled = ad.mul(h_diff, exp(scalar_mul(params["fusion.log_t"], -1.0)))
         alpha = softmax_with_temperature(scaled, 1.0, axis=-1)
@@ -184,14 +199,14 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable"):
 @contextlib.contextmanager
 def composed_model():
     """Run the model on the composed blocks until the block exits."""
-    saved = encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair
-    encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair = (
-        enhanced_layer, readout, diffatt_pair
+    saved = ad.dense, encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair
+    ad.dense, encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair = (
+        dense, enhanced_layer, readout, diffatt_pair
     )
     try:
         yield
     finally:
-        encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair = saved
+        ad.dense, encoder.enhanced_layer, encoder.readout, fusion.diffatt_pair = saved
 
 
 def run_with_grads(f, inputs):

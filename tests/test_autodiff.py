@@ -5,6 +5,7 @@ import composed
 from gedraft import autodiff as ad
 from gedraft.autodiff import ShapeError, Tensor, backward
 from gedraft.cli import _gradcheck_cases
+from gedraft.encoder import init_mlp, mlp
 from gedraft.graphs import generate_er
 from gedraft.model import ModelConfig, batch_loss, init_params
 from gedraft.optim import grad_check
@@ -60,7 +61,7 @@ def test_two_backwards_accumulate_to_zeros_plus_grads():
     b = Tensor(rng.normal(size=2), requires_grad=True)
 
     def loss():
-        return ad.reduce_sum(ad.tanh(ad.linear(x, w, b)))
+        return ad.reduce_sum(ad.tanh(ad.dense(x, [(w, b)])))
 
     firsts = []
     for _ in range(2):
@@ -180,20 +181,32 @@ def test_concat_gradient_splits():
     assert np.array_equal(b.grad, [2, 2, 2])
 
 
-@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
-def test_linear_equals_add_of_matmul_bit_for_bit(x_shape):
-    rng = np.random.default_rng(11)
-    x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)
-    upstream = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("x_shape", [(6, 4), (3, 6, 4)])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_dense_equals_composed_chain_bit_for_bit(depth, x_shape, x_grad):
+    # against add(matmul(x, W), b) with a relu between layers; zeros among
+    # the pre-activations, and a negative zero in x, put the relu kink and
+    # signed zeros on both paths
+    rng = np.random.default_rng(depth)
+    widths = (4, 5, 3, 2)[: depth + 1]
+    x0 = rng.normal(size=x_shape)
+    x0[..., 0, 0] = -0.0
+    layers0 = [(rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in zip(widths, widths[1:])]
+    layers0[0][1][:] = 0.0
+    layers0[0][0][:, 1] = 0.0
+    upstream = Tensor(rng.normal(size=x_shape[:-1] + (widths[-1],)))
     results = []
-    for op in (ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
-        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
-        out = op(x, w, b)
+    for op in (ad.dense, composed.dense):
+        x = Tensor(x0.copy(), requires_grad=x_grad)
+        layers = [(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
+                  for w, b in layers0]
+        out = op(x, layers)
         backward(ad.reduce_sum(ad.mul(out, upstream)))
-        results.append((out.values, x.grad, w.grad, b.grad))
-    for fused, split in zip(*results):
-        assert fused.shape == split.shape
-        assert fused.tobytes() == split.tobytes()
+        arrays = [out.values] + [t.grad for t in (x, *(t for layer in layers for t in layer))]
+        results.append([a if a is None else (a.shape, a.tobytes()) for a in arrays])
+    assert results[0] == results[1]
+    assert (results[0][1] is None) != x_grad
 
 
 def test_removed_unbatched_forms_raise():
@@ -202,7 +215,7 @@ def test_removed_unbatched_forms_raise():
         with pytest.raises(ShapeError):
             ad.matmul(a, b)
     with pytest.raises(ShapeError):
-        ad.linear(vec, mat, Tensor(np.zeros(3)))
+        ad.dense(vec, [(mat, Tensor(np.zeros(3)))])
     for axis in (None, (0, 1)):
         with pytest.raises(ShapeError):
             ad.reduce_max(mat, axis=axis)
@@ -224,7 +237,7 @@ def test_constant_leaves_get_no_grad():
 
 def test_ops_on_constants_record_no_tape():
     c1, c2 = Tensor(np.ones((2, 3))), Tensor(np.full((3, 2), 2.0))
-    out = ad.tanh(ad.linear(c1, c2, Tensor(np.zeros(2))))
+    out = ad.tanh(ad.dense(c1, [(c2, Tensor(np.zeros(2)))]))
     assert not out.requires_grad and out._parents == ()
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     mixed = ad.mul(c1, x)
@@ -261,16 +274,7 @@ def test_mse_loss_value():
     assert float(loss.values) == 2.5
 
 
-def test_one_training_step_records_23_tape_nodes():
-    # the model shape of the train-eval benchmark: each encoder layer, gca
-    # readout and difference attention is one node, so the tape holds the
-    # projection, 2 layers, 3 readouts, 6 row gathers, 3 attentions, the
-    # concat, 3 linears and 2 relus of the regressor, its reshape and the
-    # loss. A block recomposed from elementary ops would add dozens.
-    cfg = ModelConfig(alphabet_size=3, hidden=32, layers=2, readout="gca", fusion="diffatt")
-    graphs = [generate_er(n, 0.5, 3, seed=n, gid=f"g{n}") for n in (1, 4, 6, 5)]
-    loss = batch_loss([(graphs[0], graphs[1]), (graphs[2], graphs[3])], [0.5, 0.2],
-                      init_params(cfg), cfg)
+def tape_nodes(loss):
     seen, stack, ops = {id(loss)}, [loss], 0
     while stack:
         node = stack.pop()
@@ -279,7 +283,29 @@ def test_one_training_step_records_23_tape_nodes():
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert ops == 23
+    return ops
+
+
+def test_one_training_step_records_19_tape_nodes():
+    # the model shape of the train-eval benchmark: the projection, each
+    # encoder layer, gca readout, difference attention and the regressor is
+    # one node, so the tape holds the projection, 2 layers, 3 readouts, 6
+    # row gathers, 3 attentions, the concat, the regressor, its reshape and
+    # the loss. A block recomposed from elementary ops would add dozens.
+    cfg = ModelConfig(alphabet_size=3, hidden=32, layers=2, readout="gca", fusion="diffatt")
+    graphs = [generate_er(n, 0.5, 3, seed=n, gid=f"g{n}") for n in (1, 4, 6, 5)]
+    loss = batch_loss([(graphs[0], graphs[1]), (graphs[2], graphs[3])], [0.5, 0.2],
+                      init_params(cfg), cfg)
+    assert tape_nodes(loss) == 19
+
+
+def test_one_probe_step_records_2_tape_nodes():
+    # resat_probe's step: the three-layer probe MLP, then the loss
+    rng = np.random.default_rng(0)
+    p = init_mlp(rng, (6, 12, 12, 4), "probe")
+    loss = ad.mse_loss(mlp(Tensor(rng.normal(size=(8, 6))), p, "probe", 3),
+                       Tensor(rng.normal(size=(8, 4))))
+    assert tape_nodes(loss) == 2
 
 
 def test_fused_node_adds_repeated_inputs_in_list_order():

@@ -215,6 +215,16 @@ def test_train_refuses_bad_config_before_training(
     assert err.startswith("error: ") and message in err
 
 
+def test_train_names_a_config_file_that_is_not_utf_8(workspace, tmp_path, capsys, no_training):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[model]\nreadout = \xff\n")
+    argv = ["train", "--dataset", str(workspace["dataset"]), "--out", str(tmp_path / "m.json"),
+            "--config", str(bad), "--quiet"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {bad}: byte 18: not UTF-8\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_gradcheck_last_line_names_no_backend(monkeypatch, capsys):
     # the full model at small widths, so that the check takes a second, not ten
     small = functools.partial(cli.full_model_gradcheck, hidden=4, layers=1)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,19 @@ def test_unknown_key_rejected(tmp_path):
 def test_bad_value_rejected(tmp_path):
     with pytest.raises(ConfigError, match="hidden"):
         load_config(write(tmp_path, "[model]\nhidden = lots\n"))
+
+
+def test_file_is_read_as_utf_8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("; température\n[model]\nreadout = gca\n".encode("utf-8"))
+    assert load_config(path)["model"] == {"readout": "gca"}
+
+
+def test_file_that_is_not_utf_8_is_rejected_by_name(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[model]\nreadout = \xff\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: byte 18: not UTF-8$"):
+        load_config(path)
 
 
 def test_missing_file_rejected(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -370,6 +371,30 @@ def test_kernel_rejects_labels_outside_alphabet(kernel, labels1, labels2, alphab
 def test_kernel_rejects_a_negative_alphabet(kernel):
     with pytest.raises(ValueError, match=r"^alphabet_size must be >= 0, got -1$"):
         kernel.solve(0, [], [], 0, [], [], -1, 100)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, alphabet_size, message",
+    [
+        (-1, 0, 0, "graphs must have 0..64 nodes, got -1 and 0"),
+        (0, -1, 0, "graphs must have 0..64 nodes, got 0 and -1"),
+        (2**31, 0, 0, "graphs must have 0..64 nodes, got 2147483648 and 0"),
+        (0, 0, 129, "alphabet_size must be at most 128, got 129"),
+        (0, 0, 2**31, "alphabet_size must be at most 128, got 2147483648"),
+        (0, 0, 2**64, "alphabet_size must be at most 128, got 18446744073709551616"),
+        (0, 0, -2**64, "alphabet_size must be >= 0, got -18446744073709551616"),
+    ],
+)
+def test_kernels_refuse_an_argument_out_of_range_alike(kernel, n1, n2, alphabet_size, message):
+    # the compiled kernel raised OverflowError beyond a C int, where the
+    # pure one answered; empty graphs keep the pure one from allocating
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernel.solve(n1, [], [], n2, [], [], alphabet_size, 100)
+
+
+def test_kernels_take_an_alphabet_of_up_to_128_labels(kernel):
+    # ged_exact numbers a sparse alphabet densely: n1 + n2 <= 128 labels
+    assert kernel.solve(0, [], [], 0, [], [], 128, 100) == (0, (), 0, True)
 
 
 @pytest.mark.parametrize(

@@ -218,3 +218,22 @@ def test_commands_exit_2_on_a_file_json_cannot_parse(tmp_path, capsys, command, 
     # one error line and no traceback
     assert (captured.err, captured.out) == (f"error: {paths['bad']}: {message}\n", "")
     assert not Path(paths["out"]).exists()
+
+
+def test_resat_names_the_checkpoint_of_another_version(tmp_path, capsys):
+    # of two checkpoints, the refusal says which file is wrong
+    data, good, v2, out = (str(tmp_path / f"{name}.json") for name in ("data", "good", "v2", "out"))
+    write_dataset(EVAL_DATASET, data)
+    cfg = ModelConfig(alphabet_size=3, hidden=2, layers=1)
+    for path in (good, v2):
+        save_checkpoint(init_params(cfg), cfg, path)
+    doc = json.loads(Path(v2).read_text())
+    doc["version"] = "2"
+    Path(v2).write_text(json.dumps(doc))
+    code = main(["resat", "--dataset", data, "--checkpoint", f"a={good}",
+                 "--checkpoint", f"b={v2}", "--out", out])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert (captured.err, captured.out) == (
+        f"error: {v2}: unknown checkpoint version '2'; expected '1'\n", "")
+    assert not Path(out).exists()

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,9 +61,14 @@ def test_config_validation():
     assert ModelConfig(alphabet_size=3, temperature=2).temperature == 2
 
 
-@pytest.mark.parametrize("temperature", ["learnable", 0.5])
-def test_fused_model_matches_composed_bit_for_bit(temperature):
-    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt",
+@pytest.mark.parametrize("fusion, temperature", [
+    pytest.param("diffatt", "learnable", id="learnable"),
+    pytest.param("diffatt", 0.5, id="0.5"),
+    pytest.param("efn", "learnable", id="efn"),  # the efn MLP is a dense node
+])
+def test_fused_model_matches_composed_bit_for_bit(fusion, temperature):
+    # the projection and the regressor are dense nodes too
+    cfg = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion=fusion,
                       temperature=temperature, seed=4)
     graphs = [generate_er(n, 0.5, 3, seed=n, gid=f"g{n}") for n in (1, 5, 3, 6, 4)]
     pairs = [(graphs[0], graphs[1]), (graphs[2], graphs[3]), (graphs[4], graphs[0])]
@@ -323,6 +329,10 @@ MALFORMED_CHECKPOINTS = {
     "optimizer moment misshapen": _with_optimizer("v", "regressor.b3", value=SCALAR),
     "optimizer moment extra": _with_optimizer("m", "bogus", value=SCALAR),
     "unknown top-level key": _edit("notes", value="x"),
+    "unknown version": _edit("version", value="2"),
+    "missing parameter": _edit("params", "regressor.W1"),
+    "misshapen parameter": _edit("params", "regressor.b3", value={"shape": [2], "values": [0, 0]}),
+    "unexpected parameter": _edit("params", "bogus", value=SCALAR),
 }
 
 
@@ -332,8 +342,10 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, name):
     save_checkpoint(init_params(CFG), CFG, path)
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(MALFORMED_CHECKPOINTS[name](doc)))
-    with pytest.raises(CheckpointError):
+    # every refusal names the file, once
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: ") as refusal:
         load_checkpoint(path)
+    assert str(refusal.value).count(str(path)) == 1
 
 
 @pytest.mark.parametrize(
