@@ -4,24 +4,25 @@ Double precision throughout. The operator set is exactly what the model
 needs: elementwise add, sub and mul, matmul on operands of 2+ dimensions,
 reshape, concat, row gather, abs, relu, tanh and sigmoid, sum over axes,
 max over one axis, and MSE loss. A model block that would otherwise record
-many of these nodes is one ``fused`` node instead: it computes its value
-and all of its gradients in NumPy and records one tape node (a dense relu
-MLP, ``dense``; the encoder layer, the gca readout and difference
-attention, which run their MLPs through ``dense_values``).
+many of these nodes is one node instead: it computes its value and all of
+its gradients in NumPy (a dense relu MLP, ``dense``; the encoder layer, the
+gca readout and difference attention, which run their MLPs through
+``dense_values``).
 
 Broadcasting is limited to bias addition over the last axis and leading
 batch dimensions in matmul/elementwise ops; gradients of broadcast
 operands are summed back to their shape. Anything else is a shape error.
 
-The tape is the ``_parents`` links of op outputs. An op records only the
-operands that require a gradient (a leaf made with ``requires_grad=True``,
-or an op output that recorded a parent), so constants are never on the tape
-and an op on constants alone records nothing, not even its backward
-function: passing parameters as ``Tensor(t.values)`` runs the model without
-building a tape. Every recorded node has one ``_backward(g)``, which yields
-its parents' gradient contributions in the order of ``_parents``.
-``backward`` walks the recorded links and accumulates ``.grad`` on the
-leaves that require a gradient.
+Every op, elementary or block, records itself with one call,
+``node(values, inputs, grads)``: ``grads(g)`` returns the contribution to
+each input, in order. The tape is the ``_parents`` links of op outputs. A
+node records only the inputs that require a gradient (a leaf made with
+``requires_grad=True``, or an op output that recorded a parent), so
+constants are never on the tape and an op on constants alone records
+nothing, not even its backward function: passing parameters as
+``Tensor(t.values)`` runs the model without building a tape. ``backward``
+walks the recorded links and accumulates ``.grad`` on the leaves that
+require a gradient.
 """
 
 from __future__ import annotations
@@ -85,38 +86,27 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(values, parents, backward_fn) -> Tensor:
-    """An op output on the tape when ``parents`` is not empty."""
-    out = Tensor(values, requires_grad=bool(parents))
-    if parents:
-        out._parents, out._backward = tuple(parents), backward_fn
-    return out
+def node(values, inputs, grads) -> Tensor:
+    """The output of an op on ``inputs``: ``grads(g)`` returns the op's
+    contributions to ``inputs``, in order, in one pass. It is on the tape
+    when an input requires a gradient, and its ``_backward`` hands out the
+    contributions of those inputs only.
 
-
-def _make(values, parents):
-    """An op output whose tape holds the operands of the (operand, grad_fn)
-    pairs that require a gradient; its ``_backward`` yields their
-    ``grad_fn(g)`` one at a time."""
-    recorded = [(p, fn) for p, fn in parents if p.requires_grad]
-    return _node(values, [p for p, _ in recorded], lambda g: (fn(g) for _, fn in recorded))
-
-
-def fused(values, inputs, grads) -> Tensor:
-    """One tape node for a block of ops: ``grads(g)`` returns the block's
-    contributions to ``inputs``, in order, in one pass.
-
-    An input the block reads in several places is listed once per
-    contribution, in the order the block's composed ops would hand them to
-    it; ``backward`` then adds them in that order, so the sums keep their
-    bits.
+    An input the op reads in several places is listed once per
+    contribution, in the order its composed ops would hand them to it;
+    ``backward`` then adds them in that order, so the sums keep their bits.
     """
     recorded = [k for k, t in enumerate(inputs) if t.requires_grad]
+    out = Tensor(values, requires_grad=bool(recorded))
+    if recorded:
+        out._parents = tuple(inputs[k] for k in recorded)
 
-    def backward_fn(g):
-        contributions = grads(g)
-        return [contributions[k] for k in recorded]
+        def backward_fn(g):
+            contributions = grads(g)
+            return [contributions[k] for k in recorded]
 
-    return _node(values, [inputs[k] for k in recorded], backward_fn)
+        out._backward = backward_fn
+    return out
 
 
 def backward(loss: Tensor) -> None:
@@ -173,38 +163,23 @@ def backward(loss: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    return _make(
-        a.values + b.values,
-        [
-            (a, lambda g: unbroadcast(g, a.shape)),
-            (b, lambda g: unbroadcast(g, b.shape)),
-        ],
-    )
+    return node(a.values + b.values, [a, b],
+                lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    return _make(
-        a.values - b.values,
-        [
-            (a, lambda g: unbroadcast(g, a.shape)),
-            (b, lambda g: unbroadcast(-g, b.shape)),
-        ],
-    )
+    return node(a.values - b.values, [a, b],
+                lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     """Hadamard product (scalar operands broadcast)."""
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    return _make(
-        a.values * b.values,
-        [
-            (a, lambda g: unbroadcast(g * b.values, a.shape)),
-            (b, lambda g: unbroadcast(g * a.values, b.shape)),
-        ],
-    )
+    return node(a.values * b.values, [a, b],
+                lambda g: (unbroadcast(g * b.values, a.shape), unbroadcast(g * a.values, b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +206,8 @@ def matmul(a, b) -> Tensor:
         values = np.matmul(av, bv)
     except ValueError:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} incompatible")
-    return _make(
-        values,
-        [
-            (a, lambda g: matmul_grad_left(g, bv, a.shape)),
-            (b, lambda g: matmul_grad_right(av, g, b.shape)),
-        ],
-    )
+    return node(values, [a, b],
+                lambda g: (matmul_grad_left(g, bv, a.shape), matmul_grad_right(av, g, b.shape)))
 
 
 def dense_values(x: np.ndarray, layers, need_x: bool):
@@ -275,32 +245,20 @@ def dense(x, layers) -> Tensor:
         raise ShapeError(f"dense needs 2-D or batched input, got {x.shape}")
     out, grads = dense_values(x.values, [(w.values, b.values) for w, b in layers],
                               x.requires_grad)
-    return fused(out, [x, *(t for layer in layers for t in layer)], grads)
+    return node(out, [x, *(t for layer in layers for t in layer)], grads)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
-    return _make(a.values.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    return node(a.values.reshape(shape), [a], lambda g: (g.reshape(a.shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     values = np.concatenate([t.values for t in tensors], axis=axis)
-    parents = []
-    offset = 0
-    for t in tensors:
-        size = t.shape[axis]
-        start = offset
-
-        def grad_fn(g, start=start, size=size):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, start + size)
-            return g[tuple(index)]
-
-        parents.append((t, grad_fn))
-        offset += size
-    return _make(values, parents)
+    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    return node(values, tensors, lambda g: np.split(g, ends, axis=axis))
 
 
 def index_rows(a, idx) -> Tensor:
@@ -313,12 +271,12 @@ def index_rows(a, idx) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
-    def grad_fn(g):
+    def grads(g):
         width = math.prod(a.shape[1:])
         flat = ((idx % a.shape[0])[:, None] * width + np.arange(width)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=a.values.size).reshape(a.shape)
+        return (np.bincount(flat, weights=g.ravel(), minlength=a.values.size).reshape(a.shape),)
 
-    return _make(a.values[idx], [(a, grad_fn)])
+    return node(a.values[idx], [a], grads)
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +286,25 @@ def index_rows(a, idx) -> Tensor:
 def absolute(a) -> Tensor:
     """Elementwise |x| with subgradient 0 at 0."""
     a = as_tensor(a)
-    return _make(np.abs(a.values), [(a, lambda g: g * np.sign(a.values))])
+    return node(np.abs(a.values), [a], lambda g: (g * np.sign(a.values),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.values > 0
-    return _make(a.values * mask, [(a, lambda g: g * mask)])
+    return node(a.values * mask, [a], lambda g: (g * mask,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.values)
-    return _make(out, [(a, lambda g: g * (1.0 - out * out))])
+    return node(out, [a], lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.values))
-    return _make(out, [(a, lambda g: g * out * (1.0 - out))])
+    return node(out, [a], lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +323,12 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
 
-    def grad_fn(g):
+    def grads(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(a.values.sum(axis=axes, keepdims=keepdims), [(a, grad_fn)])
+    return node(a.values.sum(axis=axes, keepdims=keepdims), [a], grads)
 
 
 def reduce_max(a, axis: int) -> Tensor:
@@ -383,12 +341,12 @@ def reduce_max(a, axis: int) -> Tensor:
     idx = np.argmax(a.values, axis=ax)
     out = a.values.max(axis=ax)
 
-    def grad_fn(g):
+    def grads(g):
         res = np.zeros(a.shape)
         np.put_along_axis(res, np.expand_dims(idx, ax), np.expand_dims(g, ax), axis=ax)
-        return res
+        return (res,)
 
-    return _make(out, [(a, grad_fn)])
+    return node(out, [a], grads)
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -397,11 +355,5 @@ def mse_loss(pred, target) -> Tensor:
         raise ShapeError(f"mse_loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.values - target.values
     n = diff.size if diff.size else 1
-
-    return _make(
-        np.asarray((diff * diff).mean() if diff.size else 0.0),
-        [
-            (pred, lambda g: g * 2.0 * diff / n),
-            (target, lambda g: -g * 2.0 * diff / n),
-        ],
-    )
+    return node(np.asarray((diff * diff).mean() if diff.size else 0.0), [pred, target],
+                lambda g: (g * 2.0 * diff / n, -g * 2.0 * diff / n))

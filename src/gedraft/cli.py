@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -123,7 +124,11 @@ def cmd_train(args) -> int:
         "backends": {"ged": BACKEND, "adam": ADAM_BACKEND},
     }
     if args.history:
-        _write_json(args.history, report)
+        try:
+            _write_json(args.history, report)
+        except OSError:
+            os.remove(args.out)  # a train that fails leaves no checkpoint
+            raise
     print(f"wrote checkpoint {args.out} (best step {history['best_step']})")
     return EXIT_OK
 

@@ -5,14 +5,14 @@ A linear input projection is followed by K enhanced message-passing layers
 add, then a two-layer feed-forward block). A graph-level readout (mean,
 max, sum, or global context attention) is taken at every scale 0..K.
 
-Each enhanced layer and each gca readout is one fused autodiff node
-(``autodiff.fused``): its value and gradients are those of the composed
+Each enhanced layer and each gca readout is one autodiff node
+(``autodiff.node``): its value and gradients are those of the composed
 elementary ops bit for bit, at one tape node instead of a dozen.
 
 ``init_mlp`` makes the parameters of every relu MLP of the model stack.
 ``mlp`` runs the efn fusion MLP, the regressor and the RESAT probe as one
 ``ad.dense`` node each; the feed-forward blocks and the difference
-attention MLP run the same ``ad.dense_values`` inside their fused nodes.
+attention MLP run the same ``ad.dense_values`` inside their own nodes.
 
 A batch of graphs is encoded in one pass: node features and adjacency are
 zero-padded to the batch's largest graph, and a node mask keeps the padded
@@ -136,7 +136,7 @@ def enhanced_layer(x, adjacency: np.ndarray, params: dict, prefix: str) -> Tenso
 
     # x three times: the residual, the neighbour sum and the self term hand
     # it their gradients in that order
-    return ad.fused(out, [x, x, x, *p], grads)
+    return ad.node(out, [x, x, x, *p], grads)
 
 
 def _gca(x: Tensor, weight: Tensor, mask: np.ndarray) -> Tensor:
@@ -170,7 +170,7 @@ def _gca(x: Tensor, weight: Tensor, mask: np.ndarray) -> Tensor:
 
     # x three times: the pooled sum, the scores and the context mean hand it
     # their gradients in that order
-    return ad.fused(out, [x, x, weight, x], grads)
+    return ad.node(out, [x, x, weight, x], grads)
 
 
 def readout(x, kind: str, weight, mask) -> Tensor:

@@ -5,7 +5,7 @@ per-scale fused representation. One parameter set is shared across scales.
 
 Variants: difference attention (diffatt), bilinear tensor fusion (ntn),
 gated fusion (efn), element-wise absolute/squared distance, and plain
-concatenation (none). Difference attention is one fused autodiff node
+concatenation (none). Difference attention is one autodiff node
 (``diffatt_pair``), bit for bit the composed elementary ops; the other
 variants are composed.
 
@@ -110,7 +110,7 @@ def diffatt_pair(h_i, h_j, params: dict, temperature="learnable") -> tuple[Tenso
 
     # h_j and h_i are handed their gradients through u_j, then u_i, then
     # again through |h_i - h_j|
-    return ad.fused(out, [h_j, h_i, *p, h_i, h_j], grads), alpha
+    return ad.node(out, [h_j, h_i, *p, h_i, h_j], grads), alpha
 
 
 def ntn(h_i, h_j, params: dict, slices: int) -> Tensor:

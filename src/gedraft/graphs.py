@@ -187,19 +187,7 @@ def generate_er(n: int, p: float, alphabet_size: int, seed: int, gid: str | None
     return Graph.make(gid if gid is not None else f"er-{n}-{seed}", labels, edges)
 
 
-def permute(g: Graph, pi) -> Graph:
-    """Relabel nodes by the bijection pi: node i moves to position pi[i]."""
-    pi = list(pi)
-    if sorted(pi) != list(range(g.n)):
-        raise ValueError("pi is not a bijection on 0..n-1")
-    labels = [0] * g.n
-    for i, lab in enumerate(g.labels):
-        labels[pi[i]] = lab
-    edges = [(pi[u], pi[v]) for u, v in g.edges]
-    return Graph.make(g.id, labels, edges)
-
-
-def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None):
+def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int):
     """Apply k uniformly chosen valid edits; returns (graph, applied ops).
 
     Each step draws one operator, uniformly, from those applicable within
@@ -214,8 +202,6 @@ def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None)
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if alphabet_size is None:
-        alphabet_size = max(g.labels) + 1 if g.labels else 1
     rng = SplitMix64(seed)
     labels = list(g.labels)
     edges = set(g.edges)
@@ -279,7 +265,7 @@ def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None)
     return Graph.make(g.id, labels, edges), applied
 
 
-def perturb(g: Graph, k: int, seed: int, alphabet_size: int | None = None) -> Graph:
+def perturb(g: Graph, k: int, seed: int, alphabet_size: int) -> Graph:
     return perturb_trace(g, k, seed, alphabet_size)[0]
 
 
@@ -346,27 +332,3 @@ def remaining_subgraph(g: Graph, ex: SubgraphExtraction):
     labels = [g.labels[p] for p in survivors]
     edges = [(index[u], index[v]) for u, v in kept]
     return Graph.make(f"{g.id}/rem", labels, edges)
-
-
-def check_extraction(g: Graph, ex: SubgraphExtraction) -> list[str]:
-    """Induced-subgraph invariants of a SubgraphExtraction, as violations."""
-    violations = []
-    if len(set(ex.node_map)) != len(ex.node_map):
-        violations.append("node_map not injective")
-    if len(ex.node_map) != ex.subgraph.n:
-        violations.append("node_map length differs from subgraph size")
-    for i, p in enumerate(ex.node_map):
-        if not 0 <= p < g.n:
-            violations.append(f"node_map[{i}]={p} out of range")
-            return violations
-        if g.labels[p] != ex.subgraph.labels[i]:
-            violations.append(f"label mismatch at subgraph node {i}")
-    image = set(ex.node_map)
-    expected = {
-        (min(ex.node_map[u], ex.node_map[v]), max(ex.node_map[u], ex.node_map[v]))
-        for (u, v) in ex.subgraph.edges
-    }
-    actual = {e for e in g.edges if e[0] in image and e[1] in image}
-    if expected != actual:
-        violations.append("subgraph is not induced: edge sets differ under node_map")
-    return violations

@@ -70,11 +70,11 @@ def kendall_checked(xs, ys) -> Correlation:
     return Correlation(c_minus_d / denom, True)
 
 
-def precision_at_k(pred, true, k: int, ids=None) -> float:
+def precision_at_k(pred, true, k: int, ids) -> float:
     """|predicted top-k  intersect  true top-k| / k.
 
     True-side ties at the rank-k boundary expand the true set (denominator
-    stays k); the predicted top-k breaks ties by ascending id.
+    stays k); the predicted top-k breaks ties by ascending ``ids[i]``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -83,8 +83,6 @@ def precision_at_k(pred, true, k: int, ids=None) -> float:
     n = len(pred)
     if n < k:
         raise ValueError(f"corpus of size {n} smaller than k={k}")
-    if ids is None:
-        ids = list(range(n))
     order_pred = sorted(range(n), key=lambda i: (-pred[i], ids[i]))
     top_pred = set(order_pred[:k])
     threshold = np.sort(true)[::-1][k - 1]

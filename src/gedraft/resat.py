@@ -98,7 +98,7 @@ def probe_embeddings(params: dict, cfg: ModelConfig, triples):
     return out
 
 
-def resat_probe(inputs: np.ndarray, targets: np.ndarray, seed: int, epochs: int = 200) -> float:
+def resat_probe(inputs: np.ndarray, targets: np.ndarray, seed: int, epochs: int) -> float:
     """Best validation MSE of an alignment MLP trained on an 80/20 split.
 
     The probe has two relu hidden layers of width m * max(in_dim, out_dim)
@@ -171,9 +171,7 @@ class ResatReport:
         return "\n".join(lines)
 
 
-def resat_compare(
-    variants: dict, dataset, triples, seeds=(0,), probe_epochs: int = 200
-) -> ResatReport:
+def resat_compare(variants: dict, dataset, triples, seeds, probe_epochs: int) -> ResatReport:
     """Probe each trained variant; variants maps name -> (params, cfg).
 
     For diffatt both the pre-attention and post-attention embeddings are

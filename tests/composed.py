@@ -1,12 +1,14 @@
-"""The model blocks as composed autodiff ops: the reference the fused ops
-are compared with, bit for bit.
+"""The model blocks as composed autodiff ops: the reference the one-node
+blocks are compared with, bit for bit.
 
 ``dense``, ``enhanced_layer``, ``readout`` and ``diffatt_pair`` build each
-block from one tape node per elementary op. The fused ops in
+block from one tape node per elementary op. The one-node blocks in
 ``gedraft.autodiff``, ``gedraft.encoder`` and ``gedraft.fusion`` must give
 the same values and the same gradients, to the bit; ``composed_model``
-swaps these in for them, so a whole model can run either way. The elementary ops that only the blocks used live here
-too, with their gradient checks.
+swaps these in for them, so a whole model can run either way. The
+elementary ops that only the blocks used live here too, with their
+gradient checks; like gedraft's own, each records itself with
+``autodiff.node``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from gedraft import autodiff as ad
 from gedraft import encoder, fusion
-from gedraft.autodiff import ShapeError, Tensor, _make, as_tensor
+from gedraft.autodiff import ShapeError, Tensor, as_tensor, node
 
 # ---------------------------------------------------------------------------
 # elementary ops
@@ -26,21 +28,18 @@ from gedraft.autodiff import ShapeError, Tensor, _make, as_tensor
 def scalar_mul(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _make(a.values * c, [(a, lambda g: g * c)])
+    return node(a.values * c, [a], lambda g: (g * c,))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
-    return _make(
-        np.swapaxes(a.values, ax1, ax2),
-        [(a, lambda g: np.swapaxes(g, ax1, ax2))],
-    )
+    return node(np.swapaxes(a.values, ax1, ax2), [a], lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.values)
-    return _make(out, [(a, lambda g: g * out)])
+    return node(out, [a], lambda g: (g * out,))
 
 
 def softmax_with_temperature(a, t: float = 1.0, axis: int = -1) -> Tensor:
@@ -58,11 +57,11 @@ def softmax_with_temperature(a, t: float = 1.0, axis: int = -1) -> Tensor:
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def grad_fn(g):
+    def grads(g):
         inner = (g * s).sum(axis=axis, keepdims=True)
-        return (g - inner) * s / t
+        return ((g - inner) * s / t,)
 
-    return _make(s, [(a, grad_fn)])
+    return node(s, [a], grads)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -80,21 +79,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = (x.values - mu) * inv
     out = xhat * gain.values + bias.values
 
-    def grad_x(g):
+    lead = tuple(range(x.ndim - 1))
+
+    def grads(g):
         dxhat = g * gain.values
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (dxhat - m1 - xhat * m2) * inv
+        return (dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    lead = tuple(range(x.ndim - 1))
-    return _make(
-        out,
-        [
-            (x, grad_x),
-            (gain, lambda g: (g * xhat).sum(axis=lead)),
-            (bias, lambda g: g.sum(axis=lead)),
-        ],
-    )
+    return node(out, [x, gain, bias], grads)
 
 
 def gradcheck_cases():

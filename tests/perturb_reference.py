@@ -38,12 +38,10 @@ def _applicable_ops(g: Graph, remaining: int, alphabet_size: int) -> list[tuple]
     return ops
 
 
-def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int | None = None):
+def perturb_trace(g: Graph, k: int, seed: int, alphabet_size: int):
     """Apply k uniformly chosen valid edits; returns (graph, applied ops)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if alphabet_size is None:
-        alphabet_size = max(g.labels) + 1 if g.labels else 1
     rng = SplitMix64(seed)
     labels = list(g.labels)
     edges = set(g.edges)

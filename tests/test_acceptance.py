@@ -25,7 +25,7 @@ from gedraft.autodiff import Tensor
 from gedraft.dataset import dataset_text
 from gedraft.fusion import diffatt_pair, init_fusion_params
 from gedraft.ged import ged_bruteforce, ged_exact
-from gedraft.graphs import generate_er, permute, random_walk_subgraph
+from gedraft.graphs import generate_er, random_walk_subgraph
 from gedraft.metrics import average_ranks, kendall_checked, spearman_checked
 from gedraft.model import (
     ModelConfig,
@@ -39,6 +39,7 @@ from gedraft.optim import grad_check
 from gedraft.resat import build_resat_dataset, probe_embeddings, resat_probe
 from gedraft.synth import build_dataset
 from gedraft.training import TrainConfig, _pair_views, train, validation_loss
+from graph_reference import permute
 
 SECONDS = {"gradcheck": 60, "oracle": 300, "mapping": 300, "ablation": 2700, "probing": 1800}
 
@@ -111,11 +112,11 @@ def probing_study():
             emb = probe_embeddings(best, cfg, triples)
             row = {
                 "gsc_mse": _test_split_mse(best, cfg, ds),
-                "resat_mse": resat_probe(emb["fused"], emb["target"], seed=seed),
+                "resat_mse": resat_probe(emb["fused"], emb["target"], seed=seed, epochs=200),
             }
             if variant == "diffatt":
                 row["resat_mse_before"] = resat_probe(
-                    emb["pre_attention"], emb["target"], seed=seed
+                    emb["pre_attention"], emb["target"], seed=seed, epochs=200
                 )
             rows.append(row)
         out[variant] = rows

@@ -14,7 +14,7 @@ TOL = 1e-4
 
 
 def _cases():
-    # the CLI's operators and fused blocks, and the composed reference's ops
+    # the CLI's operators and one-node blocks, and the composed reference's ops
     return {**_gradcheck_cases(), **composed.gradcheck_cases()}
 
 
@@ -179,6 +179,49 @@ def test_concat_gradient_splits():
     backward(ad.reduce_sum(ad.mul(ad.concat([a, b]), Tensor(2.0))))
     assert np.array_equal(a.grad, [2, 2])
     assert np.array_equal(b.grad, [2, 2, 2])
+    # three parts on the last axis of 3-D input, the middle one constant:
+    # each recorded part is handed its own slice of g, bit for bit
+    rng = np.random.default_rng(4)
+    x, c, y = (Tensor(rng.normal(size=(2, 3, w)), requires_grad=grad)
+               for w, grad in ((2, True), (4, False), (3, True)))
+    out = ad.concat([x, c, y], axis=-1)
+    assert out._parents == (x, y)
+    g = rng.normal(size=(2, 3, 9))
+    g[0, 0, 1] = -0.0
+    parts = list(out._backward(g))
+    assert [p.tobytes() for p in parts] == [g[..., :2].tobytes(), g[..., 6:].tobytes()]
+    assert [p.shape for p in parts] == [x.shape, y.shape]
+
+
+BINARY_OPS = {
+    # op, shapes of its two operands; the elementwise ones broadcast
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (3, 4), (1, 4)),
+    "mul": (ad.mul, (2, 3, 4), (3, 1)),
+    "matmul": (ad.matmul, (2, 3, 4), (4, 5)),
+    "mse_loss": (ad.mse_loss, (3, 4), (3, 4)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 5)),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("name", sorted(BINARY_OPS))
+def test_constant_operand_is_not_recorded(name, constant):
+    # the node records the other operand alone and hands it exactly one
+    # contribution: the bits it gets when both operands require a gradient
+    op, *shapes = BINARY_OPS[name]
+    rng = np.random.default_rng(len(name))
+    values = [rng.normal(size=shape) for shape in shapes]
+    both = op(*(Tensor(v, requires_grad=True) for v in values))
+    g = rng.normal(size=both.shape)
+    expected = list(both._backward(g))[1 - constant]
+    operands = [Tensor(v, requires_grad=k != constant) for k, v in enumerate(values)]
+    out = op(*operands)
+    assert out._parents == (operands[1 - constant],)
+    contributions = list(out._backward(g))
+    assert len(contributions) == 1
+    assert contributions[0].shape == operands[1 - constant].shape
+    assert contributions[0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -249,7 +292,7 @@ def test_nodes_on_constants_keep_no_backward_function():
     # intermediates alive for as long as the output lives
     c = Tensor(np.ones((2, 3)))
     elementary = ad.relu(c)
-    block = ad.fused(np.zeros(()), [c, c], lambda g: [g, g])
+    block = ad.node(np.zeros(()), [c, c], lambda g: [g, g])
     for out in (elementary, block):
         assert not out.requires_grad and out._parents == () and out._backward is None
 
@@ -308,20 +351,20 @@ def test_one_probe_step_records_2_tape_nodes():
     assert tape_nodes(loss) == 2
 
 
-def test_fused_node_adds_repeated_inputs_in_list_order():
+def test_node_adds_repeated_inputs_in_list_order():
     # three contributions to x whose sum depends on the order of addition
     x = Tensor(np.zeros(()), requires_grad=True)
     parts = [np.array(1e16), np.array(1.0), np.array(-1e16)]
-    backward(ad.fused(np.zeros(()), [x, x, x], lambda g: parts))
+    backward(ad.node(np.zeros(()), [x, x, x], lambda g: parts))
     assert float(x.grad) == (1e16 + 1.0) - 1e16
 
 
-def test_fused_node_hands_each_recorded_input_its_own_entry():
+def test_node_hands_each_recorded_input_its_own_entry():
     # the constants' entries are skipped, not handed to the next input
     x, y, c = (Tensor(np.zeros(()), requires_grad=True), Tensor(np.zeros(()), requires_grad=True),
                Tensor(np.zeros(())))
     parts = [np.array(1.0), np.array(10.0), np.array(100.0), np.array(1000.0)]
-    backward(ad.fused(np.zeros(()), [c, x, c, y], lambda g: parts))
+    backward(ad.node(np.zeros(()), [c, x, c, y], lambda g: parts))
     assert (float(x.grad), float(y.grad)) == (10.0, 1000.0)
 
 

@@ -225,6 +225,20 @@ def test_train_names_a_config_file_that_is_not_utf_8(workspace, tmp_path, capsys
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("unwritable", ["--out", "--history"])
+def test_train_that_cannot_write_a_file_leaves_neither(workspace, tmp_path, capsys, unwritable):
+    # the history is written after the checkpoint, which the failure removes
+    paths = {"--out": tmp_path / "m.json", "--history": tmp_path / "h.json"}
+    paths[unwritable] = tmp_path / "missing" / "f.json"
+    argv = [arg.format(**workspace) for arg in SMALL_ARGV["train"]]
+    for flag, path in paths.items():
+        argv = with_flag(argv, flag, str(path))
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(paths[unwritable]) in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_gradcheck_last_line_names_no_backend(monkeypatch, capsys):
     # the full model at small widths, so that the check takes a second, not ten
     small = functools.partial(cli.full_model_gradcheck, hidden=4, layers=1)

@@ -15,8 +15,9 @@ from gedraft.encoder import (
     pad_batch,
     readout,
 )
-from gedraft.graphs import SplitMix64, generate_er, permute
+from gedraft.graphs import SplitMix64, generate_er
 from gedraft.model import ModelConfig
+from graph_reference import permute
 
 SIGMOID_TANH_1 = 0.6816997421945262  # sigmoid(tanh(1)), hand-derived
 

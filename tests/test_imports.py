@@ -1,5 +1,6 @@
-"""Each gedraft module imports alone, in a fresh interpreter, and every name
-the benchmark reaches into exists.
+"""Each gedraft module imports alone, in a fresh interpreter, every name
+the benchmark reaches into exists, and every library name has a caller
+outside the tests.
 
 A cycle between modules (``model`` imports ``encoder`` and ``fusion``,
 which take a ``ModelConfig`` without importing ``model``) shows only in
@@ -7,10 +8,12 @@ some import orders, and one test process imports every module in one
 order. So each module gets an interpreter of its own.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +79,46 @@ def test_perfbench_seams_resolve(tmp_path):
     cfg = model.ModelConfig(alphabet_size=3, hidden=4, layers=1)
     model.save_checkpoint(model.init_params(cfg), cfg, tmp_path / "m.json")
     assert len(model.load_checkpoint(tmp_path / "m.json")) == 3
+
+
+def _definitions(tree):
+    """(name, statement) of each top-level function, class and constant,
+    and of each method."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            targets = [stmt.target]
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt]
+        else:
+            continue
+        for target in targets:
+            yield target.id if isinstance(target, ast.Name) else target.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item
+
+
+def test_every_library_name_has_a_caller_outside_tests():
+    # a name that only the tests reach belongs with them (as permute and
+    # check_extraction do, in tests/graph_reference.py): the library is what
+    # the commands and the benchmark run
+    sources = {path: path.read_text().splitlines()
+               for folder in (SRC, ROOT / "perfbench", ROOT / "benchmarks")
+               for path in sorted(folder.rglob("*.py"))}
+    uncalled = []
+    for path in sorted((SRC / "gedraft").rglob("*.py")):
+        for name, stmt in _definitions(ast.parse("\n".join(sources[path]))):
+            if name.startswith("__") and name.endswith("__"):
+                continue  # the language's (__all__, __init__), not the library's
+            first, last = stmt.lineno, stmt.end_lineno
+            word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+            elsewhere = (
+                line for other, lines in sources.items() for k, line in enumerate(lines, 1)
+                if not (other == path and first <= k <= last)
+            )
+            if not any(word.search(line) for line in elsewhere):
+                uncalled.append(f"{path.relative_to(SRC)}: {name}")
+    assert not uncalled, uncalled

@@ -117,17 +117,17 @@ def test_invariance_under_monotone_transform(pair):
 
 def test_precision_at_k_perfect_and_half():
     true = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
-    assert precision_at_k(true, true, 3) == 1.0
+    assert precision_at_k(true, true, 3, ids=range(6)) == 1.0
     # predictions put exactly one of the true top-2 in the predicted top-2
     pred = [0.9, 0.1, 0.8, 0.2, 0.3, 0.4]
-    assert precision_at_k(pred, true, 2) == 0.5
+    assert precision_at_k(pred, true, 2, ids=range(6)) == 0.5
 
 
 def test_precision_at_k_true_boundary_ties_expand():
     # items 1, 2, 3 all tie at the k=2 boundary: true top-2 set expands
     true = [1.0, 0.5, 0.5, 0.5]
     pred = [0.9, 0.0, 0.8, 0.0]
-    assert precision_at_k(pred, true, 2) == 1.0
+    assert precision_at_k(pred, true, 2, ids=range(4)) == 1.0
 
 
 def test_precision_at_k_predicted_ties_break_by_id():
@@ -142,19 +142,19 @@ def test_precision_at_k_invariant_under_monotone_transform():
     rng = np.random.default_rng(0)
     pred = rng.normal(size=30)
     true = rng.normal(size=30)
-    base = precision_at_k(pred, true, 10)
-    assert precision_at_k(np.exp(pred), true, 10) == base
+    base = precision_at_k(pred, true, 10, ids=range(30))
+    assert precision_at_k(np.exp(pred), true, 10, ids=range(30)) == base
 
 
 def test_precision_at_k_requires_enough_items():
     with pytest.raises(ValueError):
-        precision_at_k([1.0, 2.0], [1.0, 2.0], 3)
+        precision_at_k([1.0, 2.0], [1.0, 2.0], 3, ids=range(2))
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_precision_at_k_rejects_k_below_one(k):
     with pytest.raises(ValueError):
-        precision_at_k([1.0, 2.0], [1.0, 2.0], k)
+        precision_at_k([1.0, 2.0], [1.0, 2.0], k, ids=range(2))
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -10,7 +10,7 @@ import pytest
 import composed
 from gedraft import model
 from gedraft.autodiff import backward
-from gedraft.graphs import SplitMix64, generate_er, permute
+from gedraft.graphs import SplitMix64, generate_er
 from gedraft.model import (
     CheckpointError,
     ModelConfig,
@@ -24,6 +24,7 @@ from gedraft.model import (
     save_checkpoint,
 )
 from gedraft.training import validation_loss
+from graph_reference import permute
 
 CFG = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt", seed=0)
 

@@ -6,7 +6,7 @@ import pytest
 from gedraft import resat
 from gedraft.encoder import encode_graphs
 from gedraft.ged import ged_exact
-from gedraft.graphs import check_extraction, generate_er
+from gedraft.graphs import generate_er
 from gedraft.model import ModelConfig, copy_params, init_params, params_equal
 from gedraft.resat import (
     ResatReport,
@@ -15,6 +15,7 @@ from gedraft.resat import (
     resat_compare,
     resat_probe,
 )
+from graph_reference import check_extraction
 
 CFG = ModelConfig(alphabet_size=3, hidden=8, layers=2, readout="gca", fusion="diffatt", seed=0)
 
@@ -76,7 +77,7 @@ def test_probe_embeddings_shapes_and_detached():
 
 def test_resat_probe_needs_enough_triples():
     with pytest.raises(ValueError):
-        resat_probe(np.zeros((5, 4)), np.zeros((5, 4)), seed=0)
+        resat_probe(np.zeros((5, 4)), np.zeros((5, 4)), seed=0, epochs=1)
 
 
 def test_resat_probe_constant_target_converges(monkeypatch):
@@ -151,12 +152,12 @@ def test_resat_compare_refuses_a_probe_that_mutates_parameters(tiny_dataset, mon
 
     monkeypatch.setattr(resat, "probe_embeddings", mutating)
     with pytest.raises(RuntimeError, match="mutated parameters of variant 'abs'"):
-        resat_compare({"abs": (params, cfg)}, tiny_dataset, triples, probe_epochs=1)
+        resat_compare({"abs": (params, cfg)}, tiny_dataset, triples, seeds=(0,), probe_epochs=1)
 
 
 def test_resat_compare_rejects_empty():
     with pytest.raises(ValueError):
-        resat_compare({}, None, [])
+        resat_compare({}, None, [], seeds=(0,), probe_epochs=1)
 
 
 # sha256 over each probe_embeddings array's name, shape and bytes, in name
