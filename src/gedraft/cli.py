@@ -24,7 +24,7 @@ from .config import ConfigError, load_config, parse_temperature
 from .dataset import read_dataset, read_json, write_dataset
 from .encoder import LAYER_PARAMS, READOUTS, enhanced_layer, readout
 from .fusion import ATTENTION_PARAMS, VARIANTS, diffatt_pair
-from .ged import BACKEND, GedBudgetExceeded, ged_exact
+from .ged import BACKEND, GedBudgetExceeded, edit_path, ged_exact
 from .graphs import Graph, require_valid
 from .metrics import evaluate
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -94,7 +94,9 @@ def cmd_ged(args) -> int:
     except GedBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(json.dumps(res.to_json()))
+    path, mapping = edit_path(g1, g2, res)
+    print(json.dumps({"cost": res.cost, "path": [op.to_json() for op in path],
+                      "mapping": [list(p) for p in mapping]}))
     return EXIT_OK
 
 
@@ -110,6 +112,8 @@ def _run_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
 
 
 def cmd_train(args) -> int:
+    if args.history and os.path.realpath(args.history) == os.path.realpath(args.out):
+        raise ConfigError(f"--out {args.out} and --history {args.history} name the same file")
     dataset = read_dataset(args.dataset)
     model_cfg, train_cfg = _run_configs(args, dataset)
     best, history = train(model_cfg, train_cfg, dataset, quiet=args.quiet)
@@ -168,7 +172,8 @@ def cmd_resat(args) -> int:
             raise ConfigError(f"--checkpoint names {name!r} twice")
         variants[name] = _load_model(path, dataset)
     test_ids = {p.i for p in dataset.split_pairs("test")}
-    graphs = [g for g in dataset.graphs if g.id in test_ids]
+    # by id, so that the draws do not move with the file's graph records
+    graphs = sorted((g for g in dataset.graphs if g.id in test_ids), key=lambda g: g.id)
     triples, skipped = build_resat_dataset(graphs, args.per_graph, args.seed)
     report = resat_compare(variants, dataset, triples, seeds=tuple(range(args.probe_seeds)),
                            probe_epochs=args.probe_epochs)

@@ -1,4 +1,4 @@
-"""GED search wrapper, brute-force verifier, bounds, and scores.
+"""GED search wrapper, edit paths, brute-force verifier, bounds, and scores.
 
 Admissibility of the lower bound used here and inside the search:
 
@@ -60,9 +60,9 @@ result is an optimal assignment in the caller's g1 ids either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from ..graphs import Graph, require_valid
 from ._astar_py import MAX_NODES  # both kernels' limit on a graph's nodes
@@ -96,51 +96,15 @@ class EditOp:
         return {"kind": self.kind, "operands": list(self.operands)}
 
 
-@dataclass(frozen=True, init=False)
-class GedResult:
-    """An optimal edit path from g1 to g2, held as the search's node
-    assignment: ``assignment[u]`` is g1 node u's image in g2, or ``g2.n`` if
-    u is deleted.
-
-    ``path`` and ``mapping`` are built from the assignment the first time
-    either is read, and kept; labeling reads only the cost. The result is
-    frozen: its fields cannot be assigned. ``__init__`` fills the instance
-    dict directly, as the frozen dataclass's five ``object.__setattr__``
-    calls would, at half their cost: ``ged_exact`` makes one result per
-    labeled pair.
-    """
+class GedResult(NamedTuple):
+    """The search's answer: the GED, the optimal node assignment
+    (``assignment[u]`` is g1 node u's image in g2, or ``g2.n`` if u is
+    deleted), and the node expansions it took. ``edit_path`` expands it
+    into an explicit edit path; labeling reads only the cost."""
 
     cost: int
     assignment: tuple[int, ...]
     expansions: int
-    g1: Graph = field(repr=False)
-    g2: Graph = field(repr=False)
-
-    def __init__(self, cost, assignment, expansions, g1, g2):
-        vars(self).update(cost=cost, assignment=assignment, expansions=expansions, g1=g1, g2=g2)
-
-    @cached_property
-    def _edit_path(self):
-        path, mapping = _build_path(self.g1, self.g2, self.assignment)
-        if len(path) != self.cost:
-            raise AssertionError("path length disagrees with search cost")
-        return path, mapping
-
-    @property
-    def path(self) -> tuple[EditOp, ...]:
-        return self._edit_path[0]
-
-    @property
-    def mapping(self) -> tuple[tuple[int, int], ...]:
-        """The matched (g1 node, g2 node) pairs."""
-        return self._edit_path[1]
-
-    def to_json(self):
-        return {
-            "cost": self.cost,
-            "path": [op.to_json() for op in self.path],
-            "mapping": [list(p) for p in self.mapping],
-        }
 
 
 class GedBudgetExceeded(Exception):
@@ -161,12 +125,13 @@ def _alphabet_size(g1: Graph, g2: Graph) -> int:
 
 
 def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
-    """Minimal-cost edit path from g1 to (a graph equal up to ids to) g2.
+    """The GED from g1 to (a graph equal up to ids to) g2, with an optimal
+    node assignment; ``edit_path`` expands it into the edit path.
 
-    The kernel's cost is checked against the edits its assignment implies;
-    the path itself is built only when the result's ``path`` or ``mapping``
-    is read. ValueError, before either kernel runs, for a budget that is not
-    an ``int`` (a bool is not) in 0..MAX_BUDGET.
+    The kernel's cost is checked against the edits its assignment implies,
+    counted without building the path. ValueError, before either kernel
+    runs, for a budget that is not an ``int`` (a bool is not) in
+    0..MAX_BUDGET.
     """
     if type(budget) is not int or not 0 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must be an integer in 0..{MAX_BUDGET}, got {budget!r}")
@@ -189,12 +154,12 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
         raise GedBudgetExceeded(cost, expansions)
     if _edit_count(g1, g2, assign) != cost:
         raise AssertionError("edit count of the assignment disagrees with search cost")
-    return GedResult(cost, assign, expansions, g1, g2)
+    return GedResult(cost, assign, expansions)
 
 
 def _edit_count(g1: Graph, g2: Graph, assign) -> int:
-    """The length of ``_build_path(g1, g2, assign)`` for an injective
-    ``assign``, counted without building the path."""
+    """The length of the edit path of an injective ``assign`` (see
+    ``edit_path``), counted without building the path."""
     n2 = len(g2.labels)
     # valid masks set no bit at or above n2, a deleted node's image
     adj2, labels2 = g2.padded
@@ -209,12 +174,15 @@ def _edit_count(g1: Graph, g2: Graph, assign) -> int:
     return len(g1.edges) - kept + len(g2.edges) - kept + unmatched + inserted
 
 
-def _build_path(g1: Graph, g2: Graph, assign):
-    """Expand a node assignment into an explicit edit path and the matched
-    (g1 node, g2 node) pairs.
+def edit_path(
+    g1: Graph, g2: Graph, result: GedResult
+) -> tuple[tuple[EditOp, ...], tuple[tuple[int, int], ...]]:
+    """Expand a result's node assignment into an explicit edit path from g1
+    to g2 and the matched (g1 node, g2 node) pairs.
 
-    ``assign[u]`` is g1 node u's image in g2, or ``g2.n`` if u is deleted.
+    AssertionError if the path's length is not the result's cost.
     """
+    assign = result.assignment
     labels2, adj2 = g2.labels, g2.masks
     n2 = len(labels2)
     path = []
@@ -245,6 +213,8 @@ def _build_path(g1: Graph, g2: Graph, assign):
     for v, w in g2.edges:
         if not kept[v] >> w & 1:
             path.append(EditOp("edge-insert", (v, w)))
+    if len(path) != result.cost:
+        raise AssertionError("path length disagrees with search cost")
     return tuple(path), tuple(mapping)
 
 
@@ -252,8 +222,9 @@ def apply_edit_path(g1: Graph, g2: Graph, result: GedResult) -> Graph:
     """Replay the edit path on g1; the outcome lives in g2's id space."""
     labels = dict(enumerate(g1.labels))
     edges = set(g1.edges)
-    image = dict(result.mapping)
-    for op in result.path:
+    path, mapping = edit_path(g1, g2, result)
+    image = dict(mapping)
+    for op in path:
         if op.kind == "edge-delete":
             u, w = op.operands
             edges.remove((min(u, w), max(u, w)))
@@ -267,7 +238,7 @@ def apply_edit_path(g1: Graph, g2: Graph, result: GedResult) -> Graph:
     edges = {
         (min(image[u], image[w]), max(image[u], image[w])) for u, w in edges
     }
-    for op in result.path:
+    for op in path:
         if op.kind == "node-relabel":
             u, new = op.operands
             labels[image[u]] = new

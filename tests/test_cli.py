@@ -225,6 +225,23 @@ def test_train_names_a_config_file_that_is_not_utf_8(workspace, tmp_path, capsys
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("out, history", [("x.json", "x.json"), ("y.json", "./y.json")])
+def test_train_refuses_one_file_for_its_checkpoint_and_its_history(
+    tmp_path, monkeypatch, capsys, out, history
+):
+    # the history overwrote the checkpoint, which a later eval then refused
+    def refuse(*args):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(cli, "read_dataset", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--dataset", "ds.json", "--out", out, "--history", history, "--quiet"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and "--history" in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("unwritable", ["--out", "--history"])
 def test_train_that_cannot_write_a_file_leaves_neither(workspace, tmp_path, capsys, unwritable):
     # the history is written after the checkpoint, which the failure removes
@@ -276,6 +293,24 @@ def test_resat_command(workspace, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["report"]["rows"][0]["variant"] == "abs"
     assert "RESAT" in capsys.readouterr().out
+
+
+def test_resat_output_does_not_depend_on_the_order_of_graph_records(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    doc = json.loads(workspace["dataset"].read_text())
+    shuffled = {**doc, "graphs": doc["graphs"][::-1]}
+    outputs = []
+    for name, ds in (("filed", doc), ("shuffled", shuffled)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("ds.json").write_text(json.dumps(ds))
+        capsys.readouterr()
+        assert main(["resat", "--dataset", "ds.json", "--checkpoint",
+                     f"abs={workspace['checkpoint']}", "--per-graph", "5",
+                     "--probe-epochs", "2", "--out", "resat.json"]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, Path("resat.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_ged_command(tmp_path, capsys):

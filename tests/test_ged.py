@@ -1,4 +1,5 @@
-import dataclasses
+import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gedraft import cli
 from gedraft import graphs as G
 from gedraft.ged import (
     GedBudgetExceeded,
+    GedResult,
     apply_edit_path,
+    edit_path,
     ged_bruteforce,
     ged_exact,
     nged,
@@ -28,12 +32,16 @@ def rand_pair(trial, n_lo=3, n_hi=6, alphabet=3):
     return g1, g2
 
 
+def _graph_doc(g):
+    return {"id": g.id, "labels": list(g.labels), "edges": [list(e) for e in g.edges]}
+
+
 def test_identical_graphs_zero():
     g = G.generate_er(6, 0.5, 3, seed=4, gid="x")
     h = G.Graph("y", g.labels, g.edges)
     res = ged_exact(g, h)
     assert res.cost == 0
-    assert res.path == ()
+    assert edit_path(g, h, res)[0] == ()
 
 
 def test_single_relabel():
@@ -41,7 +49,7 @@ def test_single_relabel():
     g2 = G.Graph.make("b", [0, 2], [(0, 1)])
     res = ged_exact(g1, g2)
     assert res.cost == 1
-    assert [op.kind for op in res.path] == ["node-relabel"]
+    assert [op.kind for op in edit_path(g1, g2, res)[0]] == ["node-relabel"]
 
 
 def test_single_edge_insert():
@@ -90,7 +98,7 @@ def test_edit_path_witness_replays_to_target():
     for trial in range(60):
         g1, g2 = rand_pair(trial)
         res = ged_exact(g1, g2)
-        assert len(res.path) == res.cost
+        assert len(edit_path(g1, g2, res)[0]) == res.cost
         replayed = apply_edit_path(g1, g2, res)
         assert ged_bruteforce(replayed, g2) == 0
 
@@ -303,9 +311,9 @@ def test_search_from_either_side_returns_g1_ids(c_kernel, pair):
     cost, assign, expansions, optimal = result
     assert optimal
     assert_assignment_in_g1_ids(g1, g2, assign)
-    path, mapping = core._build_path(g1, g2, assign)
-    assert len(path) == cost
-    assert apply_edit_path(g1, g2, core.GedResult(cost, assign, expansions, g1, g2)) == g2
+    res = GedResult(cost, assign, expansions)
+    assert len(edit_path(g1, g2, res)[0]) == cost
+    assert apply_edit_path(g1, g2, res) == g2
     if max(g1.n, g2.n) <= core.BRUTEFORCE_MAX_N:
         assert cost == ged_bruteforce(g1, g2)
 
@@ -354,7 +362,7 @@ def test_partial_results_on_swapped_pairs_are_in_g1_ids(c_kernel):
                     continue
                 with_bound += 1
                 assert_assignment_in_g1_ids(g1, g2, assign)
-                assert len(core._build_path(g1, g2, assign)[0]) == cost
+                assert len(edit_path(g1, g2, GedResult(cost, assign, 0))[0]) == cost
     assert swapped > 10 and with_bound > 0
 
 
@@ -472,48 +480,48 @@ def test_expansions_reported():
     assert res.expansions >= 1
 
 
-def test_result_json_shape():
+def test_ged_command_prints_the_cost_path_and_mapping(tmp_path, capsys):
     g1, g2 = rand_pair(9)
-    doc = ged_exact(g1, g2).to_json()
-    assert set(doc) == {"cost", "path", "mapping"}
-    assert all(set(op) == {"kind", "operands"} for op in doc["path"])
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, g in zip(files, (g1, g2)):
+        path.write_text(json.dumps(_graph_doc(g)))
+    assert cli.main(["ged", "--a", str(files[0]), "--b", str(files[1])]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    res = ged_exact(g1, g2)
+    path, mapping = edit_path(g1, g2, res)
+    assert list(doc) == ["cost", "path", "mapping"] and doc["cost"] == res.cost
+    assert doc["path"] == [{"kind": op.kind, "operands": list(op.operands)} for op in path]
+    assert doc["mapping"] == [list(p) for p in mapping]
 
 
-def test_result_builds_the_path_of_its_assignment_once_when_read(monkeypatch):
+def test_result_is_a_plain_value_and_labeling_builds_no_path(monkeypatch):
+    assert GedResult._fields == ("cost", "assignment", "expansions")
     built = []
 
-    def counting_build_path(*args):
+    def counting_edit_path(*args):
         built.append(args)
-        return real_build_path(*args)
+        return real_edit_path(*args)
 
-    real_build_path = core._build_path
-    monkeypatch.setattr(core, "_build_path", counting_build_path)
+    real_edit_path = core.edit_path
+    monkeypatch.setattr(core, "edit_path", counting_edit_path)
     for trial in range(40):
         g1, g2 = rand_pair(trial)
         res = ged_exact(g1, g2)
-        assert not built  # labeling reads only the cost
-        path, mapping = real_build_path(g1, g2, res.assignment)
-        assert res.path == path and res.mapping == mapping
-        assert res.to_json() == {
-            "cost": res.cost,
-            "path": [op.to_json() for op in path],
-            "mapping": [list(p) for p in mapping],
-        }
-        assert res.path is res.path and len(built) == 1
-        built.clear()
-
-
-def test_result_is_frozen_with_its_fields_in_order():
-    g1, g2 = rand_pair(3)
-    res = ged_exact(g1, g2)
-    assert [f.name for f in dataclasses.fields(res)] == [
-        "cost", "assignment", "expansions", "g1", "g2"
-    ]
-    assert res == core.GedResult(res.cost, res.assignment, res.expansions, g1, g2)
-    for name in ("cost", "assignment", "expansions", "g1", "g2", "path"):
+        cost, assignment, expansions = res
+        assert type(cost) is int and type(assignment) is tuple and type(expansions) is int
+    assert not built  # labeling reads only the cost
+    for name in GedResult._fields:
         with pytest.raises(AttributeError):
             setattr(res, name, None)
-    assert res.path is res.path  # the cached path is kept, not refused
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_edit_path_refuses_a_cost_its_assignment_does_not_have(error):
+    for trial in range(5):
+        g1, g2 = rand_pair(trial)
+        cost, assign, expansions = ged_exact(g1, g2)
+        with pytest.raises(AssertionError, match="path length"):
+            edit_path(g1, g2, GedResult(cost + error, assign, expansions))
 
 
 @pytest.mark.parametrize("error", [1, -1])
@@ -562,7 +570,7 @@ def test_sparse_labels_give_the_dense_result():
     d1 = G.Graph.make("a", [1, 0, 2], [(0, 1), (1, 2)])
     d2 = G.Graph.make("b", [0, 1], [(0, 1)])
     res, dense = ged_exact(g1, g2), ged_exact(d1, d2)
-    assert (res.cost, res.mapping, res.expansions) == (dense.cost, dense.mapping, dense.expansions)
+    assert res == dense
     assert res.cost == ged_bruteforce(g1, g2)
     assert apply_edit_path(g1, g2, res) == g2
 
@@ -660,7 +668,7 @@ def test_gen_report_of_a_run_with_a_labeling_run_nested_in_it(monkeypatch):
 
 
 def reference_build_path(g1, g2, assign):
-    """The edit path built with dicts and sets, as ``_build_path`` once did."""
+    """The edit path built with dicts and sets, as ``edit_path`` once did."""
     n2 = g2.n
     image = {u: v for u, v in enumerate(assign) if v != n2}
     mapping = sorted(image.items())
@@ -698,6 +706,46 @@ def test_build_path_matches_reference(g1, g2, rnd):
         targets.pop() if targets and rnd.random() < 0.7 else g2.n for _ in range(g1.n)
     )
     for assign in (optimal, arbitrary):
-        path, mapping = core._build_path(g1, g2, assign)
-        assert (path, mapping) == reference_build_path(g1, g2, assign)
-        assert core._edit_count(g1, g2, assign) == len(path)
+        result = GedResult(core._edit_count(g1, g2, assign), assign, 0)
+        assert edit_path(g1, g2, result) == reference_build_path(g1, g2, assign)
+
+
+# Pairs for ``gedraft ged``, as (g1, g2): a relabel; a node deletion, with
+# its edges, which the search runs swapped, from g2, as (n2, e2) < (n1, e1);
+# a node insertion with edge insertions; edge edits on both sides of a pair
+# with n1 = n2 and e1 > e2, also run swapped; and two random pairs, one
+# swapped, that take every kind of edit.
+GED_COMMAND_PAIRS = {
+    "relabel": (G.Graph.make("a", [0, 1], [(0, 1)]), G.Graph.make("b", [0, 2], [(0, 1)])),
+    "delete": (G.Graph.make("a", [0, 1, 2], [(0, 1), (1, 2)]),
+               G.Graph.make("b", [0, 1], [(0, 1)])),
+    "insert": (G.Graph.make("a", [0, 1], [(0, 1)]),
+               G.Graph.make("b", [2, 0, 1], [(0, 1), (1, 2), (0, 2)])),
+    "edges": (G.Graph.make("a", [0, 0, 1, 1], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+              G.Graph.make("b", [1, 0, 1, 0], [(0, 2), (1, 3)])),
+    "random": (G.generate_er(6, 0.4, 3, 31, "a"), G.generate_er(7, 0.5, 3, 32, "b")),
+    "random-swapped": (G.generate_er(8, 0.5, 3, 33, "a"), G.generate_er(6, 0.4, 3, 34, "b")),
+}
+# sha256 of the command's stdout for each pair
+GED_COMMAND_PINS = {
+    "delete": "18d23361656fc55d85f0904b8f2dc52d64d673cce6deb65a093af59538a47eac",
+    "edges": "0434431d74fd8a93cf43b54bbdcf721524466d52c23c96d60365768f53476de4",
+    "insert": "3bc47d958e83ef2adf9044f93a70a9417170a66db1b2753fff20b056e429c18c",
+    "random": "51df7c36d786578f0e50b3c02978e23aac642f4590bbbb57f3bb7801df7310bf",
+    "random-swapped": "94a75c40860634402657bb52ae667f6ca2488bd0954834f5f9aeedb8883d3681",
+    "relabel": "6f5f5cb0bbe4050732957e88a3d763c734a5946bb9a585c1a37e5c4af88d38d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GED_COMMAND_PAIRS))
+def test_ged_command_stdout_is_pinned_on_both_kernels(kernel, monkeypatch, tmp_path, capsys, name):
+    monkeypatch.setattr(core, "_kernel", kernel)
+    g1, g2 = GED_COMMAND_PAIRS[name]
+    files = []
+    for tag, g in (("a", g1), ("b", g2)):
+        files.append(tmp_path / f"{tag}.json")
+        files[-1].write_text(json.dumps(_graph_doc(g)))
+    capsys.readouterr()
+    assert cli.main(["ged", "--a", str(files[0]), "--b", str(files[1])]) == cli.EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GED_COMMAND_PINS[name]

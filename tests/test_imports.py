@@ -63,7 +63,8 @@ def test_perfbench_seams_resolve(tmp_path):
     assert tracer.TARGETS and not missing, missing
     assert callable(importlib.import_module("gedraft.ged.core")._kernel.solve)
     from gedraft import model, resat, synth
-    from gedraft.ged import _astar_py, core
+    from gedraft.ged import _astar_py, apply_edit_path, core, ged_exact
+    from gedraft.graphs import Graph
 
     calls = [
         (synth.build_dataset, (), dict(n_graphs=16, n_min=5, n_max=8, p=0.4, alphabet_size=3,
@@ -79,6 +80,11 @@ def test_perfbench_seams_resolve(tmp_path):
     cfg = model.ModelConfig(alphabet_size=3, hidden=4, layers=1)
     model.save_checkpoint(model.init_params(cfg), cfg, tmp_path / "m.json")
     assert len(model.load_checkpoint(tmp_path / "m.json")) == 3
+    # gen-mid's replay check: the label's cost, and its edit path replayed
+    g1 = Graph.make("a", [0, 1, 2], [(0, 1), (1, 2)])
+    g2 = Graph.make("b", [2, 1], [(0, 1)])
+    res = ged_exact(g1, g2)
+    assert res.cost == 2 and apply_edit_path(g1, g2, res) == g2
 
 
 def _definitions(tree):
