@@ -23,7 +23,17 @@
  * connectivity-first order, and maps the best assignment back to the
  * caller's g1 ids. search() itself only sees the renumbered "g1".
  *
- * Node sets are 64-bit masks, so each graph has at most 64 nodes.
+ * edit_count() recounts the edits an assignment implies, as
+ * gedraft.ged.core._edit_count does: ged_exact checks each search's cost with
+ * it, without building the edit path.
+ *
+ * Node sets are 64-bit masks, so each graph has at most 64 nodes, and node
+ * counts are popcounts. The default x86-64 target has no POPCNT instruction,
+ * so __builtin_popcountll becomes a call into libgcc. Each function that
+ * counts bits is therefore marked COUNTS_BITS: on x86-64 with GCC or Clang
+ * and glibc (whose ifunc resolver picks a clone when the module loads) it is
+ * compiled twice, once for CPUs with POPCNT and once for the rest. Elsewhere
+ * it is compiled once, with the plain builtin.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -38,7 +48,18 @@
 
 typedef uint64_t mask_t;
 
-static int
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define COUNTS_BITS __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef COUNTS_BITS
+#define COUNTS_BITS
+#endif
+
+/* Inlined into each clone of its callers, so that the POPCNT clone counts
+   with the instruction. */
+static inline int
 popcount(mask_t x)
 {
 #if defined(__GNUC__) || defined(__clang__)
@@ -108,7 +129,7 @@ bound(const Search *s, int i, int r2, int ov, int cross, int inner2)
 /* Greedy starting assignment into best; returns its cost. Maps each node k
    in search order to the unused g2 node with the least added cost, the
    lowest on ties. Needs n1 <= n2, which orientation guarantees. */
-static int
+COUNTS_BITS static int
 greedy(const Search *s, unsigned char *best)
 {
     mask_t used = 0;
@@ -217,7 +238,7 @@ pop(Search *s)
 }
 
 /* Run the search; touches no Python object. Returns -1 when out of memory. */
-static int
+COUNTS_BITS static int
 search(Search *s, long long budget, int *best_cost, unsigned char *best,
        long long *expansions, int *optimal)
 {
@@ -382,7 +403,7 @@ bad_mask(const char *name, int i, int n)
 
 /* Copy one graph's labels and neighbour masks into g, which holds n, and
    check that they are those of a simple undirected graph. */
-static int
+COUNTS_BITS static int
 read_graph(const char *name, PyObject *labels, PyObject *masks, int na,
            Graph *g)
 {
@@ -444,7 +465,7 @@ done:
    highest-degree node first, then each time the unplaced node with the most
    edges into the placed ones, ties to the higher degree, then the lower id.
    order[k] is the id in g of new node k. */
-static void
+COUNTS_BITS static void
 connectivity_order(const Graph *g, int *lab, mask_t *adj, int *order)
 {
     const int n = g->n;
@@ -584,6 +605,125 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
                          PyBool_FromLong(optimal));
 }
 
+/* One graph's labels and neighbour masks, read for edit_count: the labels
+   as the graph's own sequence, since they are compared as Python objects. */
+typedef struct {
+    Py_ssize_t n;
+    PyObject *labels; /* a PySequence_Fast of the n labels */
+    mask_t adj[MAX_NODES];
+} Counted;
+
+static PyObject *labels_name, *masks_name; /* "labels", "masks", interned */
+
+/* Read graph's labels and masks attributes into g; -1 with an exception
+   set if they are not n <= 64 labels and n masks of 64 bits. */
+static int
+read_counted(const char *name, PyObject *graph, Counted *g)
+{
+    PyObject *labels = PyObject_GetAttr(graph, labels_name);
+    g->labels = labels ? PySequence_Fast(labels, "labels must be a sequence")
+                       : NULL;
+    Py_XDECREF(labels);
+    PyObject *masks = g->labels ? PyObject_GetAttr(graph, masks_name) : NULL;
+    PyObject *ms = masks ? PySequence_Fast(masks, "masks must be a sequence")
+                         : NULL;
+    Py_XDECREF(masks);
+    if (!ms)
+        return -1;
+    int ok = 0;
+    g->n = PySequence_Fast_GET_SIZE(g->labels);
+    if (g->n > MAX_NODES || PySequence_Fast_GET_SIZE(ms) != g->n) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: expected at most %d labels and as many neighbour "
+                     "masks, got %zd and %zd", name, MAX_NODES, g->n,
+                     PySequence_Fast_GET_SIZE(ms));
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < g->n; i++) {
+        g->adj[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(ms, i));
+        if (g->adj[i] == (mask_t)-1 && PyErr_Occurred())
+            goto done;
+    }
+    ok = 1;
+done:
+    Py_DECREF(ms);
+    return ok ? 0 : -1;
+}
+
+/* The edges of g's masks among its own nodes, each counted at its lower
+   end. */
+COUNTS_BITS static int
+edges_of(const Counted *g)
+{
+    const mask_t within = g->n < MAX_NODES ? ((mask_t)1 << g->n) - 1
+                                           : ~(mask_t)0;
+    int e = 0;
+    for (Py_ssize_t u = 0; u < g->n; u++)
+        e += popcount(g->adj[u] & within & ~(mask_t)0 << u << 1);
+    return e;
+}
+
+static PyObject *
+edit_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "edit_count() takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    Counted g[2] = {{0}, {0}};
+    PyObject *as = NULL, *result = NULL;
+    if (read_counted("g1", args[0], &g[0]) < 0
+        || read_counted("g2", args[1], &g[1]) < 0)
+        goto done;
+    as = PySequence_Fast(args[2], "assignment must be a sequence");
+    if (!as)
+        goto done;
+    const Py_ssize_t n1 = g[0].n, n2 = g[1].n;
+    int image[MAX_NODES];
+    int bad = PySequence_Fast_GET_SIZE(as) != n1;
+    for (Py_ssize_t u = 0; !bad && u < n1; u++) {
+        long long v;
+        if (clamped(PySequence_Fast_GET_ITEM(as, u), &v) < 0)
+            goto done;
+        bad = v < 0 || v > n2;
+        image[u] = (int)v;
+    }
+    if (bad) {
+        PyErr_Format(PyExc_ValueError,
+                     "assignment %R is not a map of g1's %zd nodes into 0..%zd",
+                     args[2], n1, n2);
+        goto done;
+    }
+
+    /* g1 edges whose images are g2 edges, and nodes that keep their label */
+    int kept = 0, unmatched = 0, deleted = 0;
+    for (Py_ssize_t u = 0; u < n1; u++) {
+        const int a = image[u];
+        if (a == n2) {
+            deleted++;
+            continue;
+        }
+        for (Py_ssize_t w = u + 1; w < n1; w++)
+            if ((g[0].adj[u] >> w) & 1 && image[w] != n2)
+                kept += (g[1].adj[a] >> image[w]) & 1;
+        int same = PyObject_RichCompareBool(
+            PySequence_Fast_GET_ITEM(g[0].labels, u),
+            PySequence_Fast_GET_ITEM(g[1].labels, a), Py_EQ);
+        if (same < 0)
+            goto done;
+        unmatched += !same;
+    }
+    const int inserted = (int)(n2 - n1) + deleted;
+    result = PyLong_FromLong(edges_of(&g[0]) + edges_of(&g[1]) - 2 * kept
+                             + unmatched + deleted + inserted);
+done:
+    Py_XDECREF(g[0].labels);
+    Py_XDECREF(g[1].labels);
+    Py_XDECREF(as);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"solve", (PyCFunction)(void (*)(void))solve, METH_VARARGS | METH_KEYWORDS,
      "solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget)\n--\n\n"
@@ -591,6 +731,11 @@ static PyMethodDef methods[] = {
      "Raises ValueError for a node count outside 0..64, an alphabet_size\n"
      "outside 0..128, a label outside 0..alphabet_size-1, or neighbour\n"
      "masks that are not those of a simple undirected graph."},
+    {"edit_count", (PyCFunction)(void (*)(void))edit_count, METH_FASTCALL,
+     "edit_count(g1, g2, assignment)\n--\n\n"
+     "The edits the assignment implies; see gedraft.ged.core._edit_count.\n"
+     "Reads each graph's labels and masks. Raises ValueError for an\n"
+     "assignment that is not len(g1.labels) images in 0..len(g2.labels)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -605,5 +750,9 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__astar(void)
 {
+    labels_name = PyUnicode_InternFromString("labels");
+    masks_name = PyUnicode_InternFromString("masks");
+    if (!labels_name || !masks_name)
+        return NULL;
     return PyModule_Create(&module);
 }

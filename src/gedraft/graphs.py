@@ -8,7 +8,6 @@ alphabet; edges are stored as a sorted tuple of ``(u, v)`` pairs with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +17,27 @@ from .rng import SplitMix64
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class _cached:
+    """A property computed on its first read and stored in the instance's
+    ``__dict__``, where later reads find it before this descriptor. Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock: two
+    threads that read it first at once may each compute it, and one of the
+    equal values stays."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -85,37 +105,37 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    @cached_property
+    @_cached
     def masks(self) -> tuple[int, ...]:
         """``adjacency_masks()`` as a tuple, computed once per graph: the
         search kernel's input."""
         return tuple(self.adjacency_masks())
 
-    @cached_property
+    @_cached
     def padded(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``masks`` and ``labels``, each with one more entry for node ``n``,
         a deleted node's image in a search assignment: no neighbours, and the
         label -1, which no node has. Computed once per graph."""
         return self.masks + (0,), self.labels + (-1,)
 
-    @cached_property
+    @_cached
     def max_label(self) -> int:
         """The largest label, or -1 without nodes; computed once per graph."""
         return max(self.labels, default=-1)
 
-    @cached_property
+    @_cached
     def label_array(self) -> np.ndarray:
         """The labels as a read-only intp array, computed once per graph: the
         encoder's input."""
         return _read_only(np.array(self.labels, dtype=np.intp))
 
-    @cached_property
+    @_cached
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (num_edges, 2) intp array, computed once
         per graph: the encoder's input."""
         return _read_only(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
 
-    @cached_property
+    @_cached
     def _violations(self) -> tuple[str, ...]:
         return tuple(validate(self))
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -524,18 +526,130 @@ def test_edit_path_refuses_a_cost_its_assignment_does_not_have(error):
             edit_path(g1, g2, GedResult(cost + error, assign, expansions))
 
 
-@pytest.mark.parametrize("error", [1, -1])
-def test_ged_exact_refuses_a_cost_its_assignment_does_not_have(monkeypatch, error):
+@pytest.fixture(params=["python", "c"])
+def checker(request):
+    """ged_exact's recount of a result's edits, on either backend."""
+    if request.param == "python":
+        return core._edit_count
+    return request.getfixturevalue("c_kernel").edit_count
+
+
+def planted(monkeypatch, plant):
+    """Make ged_exact's kernel return plant(cost, assignment, n2) in place of
+    the search's cost and assignment."""
     real = core._kernel
 
     def solve(*args):
         cost, assign, expansions, optimal = real.solve(*args)
-        return cost + error, assign, expansions, optimal
+        return *plant(cost, assign, args[3]), expansions, optimal
 
-    monkeypatch.setattr(core, "_kernel", type("Off", (), {"solve": staticmethod(solve)}))
+    monkeypatch.setattr(core, "_kernel", type("Planted", (), {"solve": staticmethod(solve)}))
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_ged_exact_refuses_a_cost_its_assignment_does_not_have(monkeypatch, checker, error):
+    monkeypatch.setattr(core, "_recount", checker)
+    planted(monkeypatch, lambda cost, assign, n2: (cost + error, assign))
     for trial in range(5):
         with pytest.raises(AssertionError, match="edit count"):
             ged_exact(*rand_pair(trial))
+
+
+# Assignments that are no map of g1's nodes into 0..n2, made from a valid one
+MALFORMED_ASSIGNMENTS = {
+    "short": lambda assign, n2: assign[:-1],
+    "long": lambda assign, n2: assign + (0,),
+    "past-deleted": lambda assign, n2: (n2 + 1, *assign[1:]),
+    "negative": lambda assign, n2: (-1, *assign[1:]),
+    "beyond-64-bits": lambda assign, n2: (2**70, *assign[1:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ASSIGNMENTS))
+def test_both_checkers_refuse_a_malformed_assignment_alike(monkeypatch, c_kernel, name):
+    malform = MALFORMED_ASSIGNMENTS[name]
+    g1, g2 = rand_pair(3)
+    bad = malform(ged_exact(g1, g2).assignment, g2.n)
+    planted(monkeypatch, lambda cost, assign, n2: (cost, malform(assign, n2)))
+    raised = []
+    for checker in (core._edit_count, c_kernel.edit_count):
+        with pytest.raises(ValueError, match=r"is not a map of g1's \d+ nodes into 0\.\.\d+") as direct:
+            checker(g1, g2, bad)
+        monkeypatch.setattr(core, "_recount", checker)
+        with pytest.raises(AssertionError) as through:
+            ged_exact(g1, g2)
+        raised.append((str(direct.value), str(through.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][1] == f"the kernel's {raised[0][0]}"
+
+
+@pytest.mark.parametrize(
+    "labels, masks, exception, message",
+    [
+        ((0, 1), (2,), ValueError, "at most 64 labels and as many neighbour masks"),
+        ((0,) * 65, (0,) * 65, ValueError, "at most 64 labels"),
+        ((0, 1), (2, 2**64), OverflowError, None),
+        ((0, 1), (2, -1), OverflowError, None),
+        ((0, 1), 5, TypeError, "masks must be a sequence"),
+        (None, (0,), TypeError, "labels must be a sequence"),
+    ],
+    ids=["one-mask-short", "65-nodes", "mask-past-64-bits", "negative-mask",
+         "masks-not-a-sequence", "labels-not-a-sequence"],
+)
+def test_compiled_recount_refuses_graphs_it_cannot_read(c_kernel, labels, masks, exception, message):
+    bad = SimpleNamespace(labels=labels, masks=masks)
+    good = G.Graph.make("g", [0, 1], [(0, 1)])
+    for g1, g2 in ((bad, good), (good, bad)):
+        with pytest.raises(exception, match=message):
+            c_kernel.edit_count(g1, g2, (0, 1))
+    with pytest.raises(TypeError, match="3 arguments"):
+        c_kernel.edit_count(good, good)
+    with pytest.raises(AttributeError, match="masks"):
+        c_kernel.edit_count(good, SimpleNamespace(labels=(0, 1)), (0, 1))
+
+
+# Labels far apart, one beyond 64 bits: ged_exact numbers them densely for
+# the search, but checks the result on the graphs as they are.
+SPARSE_LABELS = (7, 10**12, 2**40, 2**70)
+
+
+@st.composite
+def counted_pairs(draw):
+    """Two graphs of 0 to 6 nodes, so of unequal sizes and with an empty g1,
+    on the labels 0..2 or on SPARSE_LABELS."""
+    g1, g2 = draw(small_graphs(min_n=0)), draw(small_graphs(min_n=0))
+    if draw(st.booleans()):
+        g1, g2 = (
+            G.Graph(g.id, tuple(SPARSE_LABELS[lab] for lab in g.labels), g.edges)
+            for g in (g1, g2)
+        )
+    return g1, g2
+
+
+def random_injection(g1, g2, rnd):
+    """An injective assignment that deletes some of g1's nodes."""
+    targets = list(range(g2.n))
+    rnd.shuffle(targets)
+    return tuple(
+        targets.pop() if targets and rnd.random() < 0.7 else g2.n for _ in range(g1.n)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(counted_pairs(), st.randoms(use_true_random=False))
+@example((G.Graph("empty", (), ()), G.Graph.make("b", [0, 1], [(0, 1)])), random.Random(0))
+def test_compiled_recount_equals_edit_count(c_kernel, pair, rnd):
+    g1, g2 = pair
+    # an injection with deletions, and any map into 0..n2, which both
+    # checkers count alike too
+    assignments = [
+        random_injection(g1, g2, rnd),
+        tuple(rnd.randrange(g2.n + 1) for _ in range(g1.n)),
+    ]
+    if g1.n and g2.n:  # ged_exact takes no empty graph
+        assignments.append(ged_exact(g1, g2).assignment)
+    for assign in assignments:
+        assert c_kernel.edit_count(g1, g2, assign) == core._edit_count(g1, g2, assign)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -700,12 +814,7 @@ def reference_build_path(g1, g2, assign):
 def test_build_path_matches_reference(g1, g2, rnd):
     # the optimal assignment and, to reach every branch, an arbitrary one
     optimal = core._kernel.solve(*kernel_args(g1, g2))[1]
-    targets = list(range(g2.n))
-    rnd.shuffle(targets)
-    arbitrary = tuple(
-        targets.pop() if targets and rnd.random() < 0.7 else g2.n for _ in range(g1.n)
-    )
-    for assign in (optimal, arbitrary):
+    for assign in (optimal, random_injection(g1, g2, rnd)):
         result = GedResult(core._edit_count(g1, g2, assign), assign, 0)
         assert edit_path(g1, g2, result) == reference_build_path(g1, g2, assign)
 

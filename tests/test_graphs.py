@@ -210,6 +210,17 @@ def test_cached_masks_equal_adjacency_masks():
         assert g.masks is g.masks
 
 
+def test_cached_properties_are_computed_on_first_read_and_stored():
+    g = generate_er(5, 0.5, 3, seed=1, gid="g")
+    names = ("masks", "padded", "max_label", "label_array", "edge_array", "_violations")
+    assert not set(names) & set(vars(g))
+    values = {name: getattr(g, name) for name in names}
+    assert all(vars(g)[name] is value for name, value in values.items())
+    assert all(getattr(g, name) is value for name, value in values.items())
+    twin = Graph(g.id, g.labels, g.edges)
+    assert g == twin and hash(g) == hash(twin)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

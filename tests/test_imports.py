@@ -87,6 +87,22 @@ def test_perfbench_seams_resolve(tmp_path):
     assert res.cost == 2 and apply_edit_path(g1, g2, res) == g2
 
 
+def test_the_compiled_kernel_is_checked_by_the_compiled_recount(c_kernel):
+    # a build that lost edit_count would check every label in Python
+    from gedraft.ged import core
+
+    assert core.BACKEND == "c" and core._kernel is c_kernel
+    assert core._recount is c_kernel.edit_count
+
+
+def test_a_build_without_the_kernel_recounts_in_python(monkeypatch):
+    monkeypatch.setitem(sys.modules, "gedraft.ged._astar", None)  # import fails
+    spec = importlib.util.find_spec("gedraft.ged.core")
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    assert core.BACKEND == "python" and core._recount is core._edit_count
+
+
 def _definitions(tree):
     """(name, statement) of each top-level function, class and constant,
     and of each method."""

@@ -76,6 +76,7 @@ def test_pipeline_bytes_are_pinned_on_the_compiled_kernels(
 
 def test_pipeline_bytes_are_pinned_on_the_pure_kernels(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(core, "_kernel", _astar_py)
+    monkeypatch.setattr(core, "_recount", core._edit_count)
     monkeypatch.setattr(optim, "_step", optim.numpy_step)
     monkeypatch.setattr(cli, "BACKEND", "python")
     monkeypatch.setattr(cli, "ADAM_BACKEND", "numpy")
