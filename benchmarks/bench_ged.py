@@ -1,8 +1,10 @@
 """Benchmark the compiled GED kernel against the pure-Python fallback.
 
 Runs the same workload of exact GED computations through both kernels and
-reports wall time, expansions per second, and the speedup. Also verifies
-that both kernels return bit-identical results on every instance.
+reports wall time, expansions per second, and the speedup. Each kernel runs
+the workload PASSES times and reports its fastest pass, which moves least
+with whatever else runs on the machine. Also verifies that both kernels
+return bit-identical results on every instance.
 
 Usage: python benchmarks/bench_ged.py [--pairs N] [--n-min A] [--n-max B]
 """
@@ -35,13 +37,20 @@ def make_workload(pairs: int, n_min: int, n_max: int, seed: int):
     return work
 
 
+PASSES = 5
+
+
 def run(kernel, work, budget):
-    t0 = time.perf_counter()
-    results = [
-        kernel.solve(n1, l1, a1, n2, l2, a2, 3, budget)
-        for n1, l1, a1, n2, l2, a2 in work
-    ]
-    return time.perf_counter() - t0, results
+    """The fastest of PASSES timed passes over ``work``, and its results."""
+    best = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        results = [
+            kernel.solve(n1, l1, a1, n2, l2, a2, 3, budget)
+            for n1, l1, a1, n2, l2, a2 in work
+        ]
+        best = min(best, time.perf_counter() - t0)
+    return best, results
 
 
 def main():
@@ -69,8 +78,9 @@ def main():
     expansions = sum(r[2] for r in res_py)
     print(f"workload: {args.pairs} pairs, n in [{args.n_min}, {args.n_max}]")
     print(f"total expansions: {expansions}")
-    print(f"pure python : {t_py:8.3f} s  ({expansions / t_py:12.0f} expansions/s)")
-    print(f"compiled    : {t_c:8.3f} s  ({expansions / t_c:12.0f} expansions/s)")
+    print(f"best of {PASSES} passes per kernel")
+    print(f"pure python : {t_py * 1e3:9.2f} ms  ({expansions / t_py:12.0f} expansions/s)")
+    print(f"compiled    : {t_c * 1e3:9.2f} ms  ({expansions / t_c:12.0f} expansions/s)")
     print(f"speedup     : {t_py / t_c:8.1f} x")
     print("results identical on all instances")
 

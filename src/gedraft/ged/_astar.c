@@ -512,15 +512,18 @@ clamped(PyObject *obj, long long *out)
 }
 
 static PyObject *
-solve(PyObject *self, PyObject *args, PyObject *kwargs)
+solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static char *kwlist[] = {"n1", "labels1", "adj1", "n2", "labels2", "adj2",
-                             "alphabet_size", "budget", NULL};
-    long long n1_arg, n2_arg, na_arg, budget;
-    PyObject *n1_obj, *n2_obj, *na_obj, *labels1, *adj1, *labels2, *adj2;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOL:solve", kwlist,
-                                     &n1_obj, &labels1, &adj1, &n2_obj,
-                                     &labels2, &adj2, &na_obj, &budget)
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError,
+                     "solve() takes 8 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *n1_obj = args[0], *labels1 = args[1], *adj1 = args[2],
+             *n2_obj = args[3], *labels2 = args[4], *adj2 = args[5],
+             *na_obj = args[6];
+    long long n1_arg, n2_arg, na_arg, budget = PyLong_AsLongLong(args[7]);
+    if ((budget == -1 && PyErr_Occurred())
         || clamped(n1_obj, &n1_arg) < 0 || clamped(n2_obj, &n2_arg) < 0
         || clamped(na_obj, &na_arg) < 0)
         return NULL;
@@ -588,6 +591,7 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
                 out[best[k]] = (unsigned char)order[k];
     }
     PyObject *cost = PyLong_FromLong(best_cost);
+    PyObject *count = PyLong_FromLongLong(expansions);
     PyObject *assignment = PyTuple_New(n1);
     for (int i = 0; assignment && i < n1; i++) {
         PyObject *v = PyLong_FromLong(out[i]);
@@ -596,13 +600,14 @@ solve(PyObject *self, PyObject *args, PyObject *kwargs)
         else
             PyTuple_SET_ITEM(assignment, i, v);
     }
-    if (!cost || !assignment) {
-        Py_XDECREF(cost);
-        Py_XDECREF(assignment);
-        return NULL;
-    }
-    return Py_BuildValue("(NNLN)", cost, assignment, expansions,
-                         PyBool_FromLong(optimal));
+    PyObject *result = cost && count && assignment
+        ? PyTuple_Pack(4, cost, assignment, count,
+                       optimal ? Py_True : Py_False)
+        : NULL;
+    Py_XDECREF(cost);
+    Py_XDECREF(count);
+    Py_XDECREF(assignment);
+    return result;
 }
 
 /* One graph's labels and neighbour masks, read for edit_count: the labels
@@ -725,8 +730,9 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"solve", (PyCFunction)(void (*)(void))solve, METH_VARARGS | METH_KEYWORDS,
-     "solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget)\n--\n\n"
+    {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
+     "solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget, /)\n"
+     "--\n\n"
      "Exact unit-cost GED search; see gedraft.ged._astar_py.solve.\n"
      "Raises ValueError for a node count outside 0..64, an alphabet_size\n"
      "outside 0..128, a label outside 0..alphabet_size-1, or neighbour\n"

@@ -88,7 +88,7 @@ def _check_graph(name, n, labels, adj):
                 )
 
 
-def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget):
+def solve(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget, /):
     """Search for a minimal assignment.
 
     adj1/adj2 are per-node neighbor bitmasks. Returns

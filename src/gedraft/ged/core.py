@@ -134,12 +134,20 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
     (by the compiled ``edit_count`` when the C kernel was built, else by
     ``_edit_count``). AssertionError when either check fails. ValueError,
     before either kernel runs, for a budget that is not an ``int`` (a bool
-    is not) in 0..MAX_BUDGET.
+    is not) in 0..MAX_BUDGET, and then for an invalid graph, as
+    ``require_valid`` raises it for g1 and then for g2; each graph's
+    ``validate`` result is cached, so a valid pair costs two attribute reads.
+    GedBudgetExceeded when the search runs out of budget.
+
+    Dataset labeling calls this once per pair, tens of thousands of times,
+    so the result is built with ``tuple.__new__``, past ``GedResult``'s
+    generated ``__new__``.
     """
     if type(budget) is not int or not 0 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must be an integer in 0..{MAX_BUDGET}, got {budget!r}")
-    require_valid(g1)
-    require_valid(g2)
+    if g1._violations or g2._violations:  # validate's cached faults
+        require_valid(g1)
+        require_valid(g2)
     labels1, labels2 = g1.labels, g2.labels
     alphabet_size = _alphabet_size(g1, g2)
     if alphabet_size > len(labels1) + len(labels2):
@@ -161,7 +169,7 @@ def ged_exact(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> GedResult:
         raise AssertionError(f"the kernel's {exc}") from None
     if count != cost:
         raise AssertionError("edit count of the assignment disagrees with search cost")
-    return GedResult(cost, assign, expansions)
+    return tuple.__new__(GedResult, (cost, assign, expansions))
 
 
 def _edit_count(g1: Graph, g2: Graph, assign) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -434,6 +435,20 @@ def test_kernel_rejects_more_than_64_nodes(kernel):
             kernel.solve(*kernel_args(g1, g2))
 
 
+def test_kernel_takes_its_arguments_by_position_only(kernel):
+    # ged_exact and perfbench pass all eight by position; both kernels
+    # refuse a keyword, or a missing argument, alike
+    args = kernel_args(*rand_pair(1))
+    with pytest.raises(TypeError):
+        kernel.solve(*args[:7], budget=100)
+    with pytest.raises(TypeError):
+        kernel.solve(*args[:7])
+    assert kernel.solve(*args[:7], 100) == _astar_py.solve(*args)
+    assert str(inspect.signature(kernel.solve)) == (
+        "(n1, labels1, adj1, n2, labels2, adj2, alphabet_size, budget, /)"
+    )
+
+
 def test_ged_exact_rejects_bad_input_on_both_kernels(kernel, monkeypatch):
     monkeypatch.setattr(core, "_kernel", kernel)
     ok = G.Graph.make("ok", [0, 1], [(0, 1)])
@@ -779,6 +794,58 @@ def test_gen_report_of_a_run_with_a_labeling_run_nested_in_it(monkeypatch):
     assert report == plain and ds.pairs == plain_ds.pairs
     monkeypatch.undo()
     assert synth.build_dataset(**{**run, "seed": 6})[1] == nested[0][1]
+
+
+def test_build_dataset_goes_once_through_each_seam_per_pair(kernel, monkeypatch):
+    # perfbench's tracer counts labeled pairs at synth._label_pair, searches
+    # at synth.ged_exact and kernel calls at core._kernel.solve; each pair,
+    # labeled or dropped over budget, goes once through each, on either kernel
+    from gedraft import synth
+
+    run = dict(n_graphs=10, n_min=5, n_max=7, p=0.5, alphabet_size=2, seed=3, budget=40)
+    plain, _ = synth.build_dataset(**run)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(core, "_kernel", SimpleNamespace(solve=counting("solve", kernel.solve)))
+    monkeypatch.setattr(synth, "ged_exact", counting("ged_exact", synth.ged_exact))
+    monkeypatch.setattr(synth, "_label_pair", counting("_label_pair", synth._label_pair))
+    ds, report = synth.build_dataset(**run)
+    assert report.dropped_budget > 0 and report.num_pairs == len(ds.pairs) > 0
+    seen = report.num_pairs + report.dropped_budget
+    assert calls == {"_label_pair": seen, "ged_exact": seen, "solve": seen}
+    assert ds.pairs == plain.pairs
+
+
+def test_labels_are_nged_and_similarity_bit_for_bit(monkeypatch):
+    # _label_pair reads (nged, sim) from a table keyed on (ged, n1 + n2) that
+    # outlives a build; each label is still the float nged() and similarity()
+    # give, whether the table was empty, warm from earlier builds, or full
+    from gedraft import synth
+
+    def check(ds):
+        for p in ds.pairs:
+            n1, n2 = ds.graph(p.i).n, ds.graph(p.j).n
+            assert float.hex(p.nged) == float.hex(nged(p.ged, n1, n2))
+            assert float.hex(p.sim) == float.hex(similarity(p.nged))
+            if (p.ged, n1 + n2) in synth._labels:  # equal labels share their floats
+                assert synth._labels[p.ged, n1 + n2][0] is p.nged
+
+    run = dict(n_graphs=40, n_min=3, n_max=6, p=0.4, alphabet_size=3)
+    monkeypatch.setattr(synth, "_labels", {})
+    for seed in (0, 1, 2):
+        check(synth.build_dataset(**run, seed=seed)[0])
+    assert 0 < len(synth._labels) <= synth._LABELS_MAX
+    monkeypatch.setattr(synth, "_labels", {})
+    monkeypatch.setattr(synth, "_LABELS_MAX", 3)
+    check(synth.build_dataset(**run, seed=3)[0])
+    assert len(synth._labels) == 3
 
 
 def reference_build_path(g1, g2, assign):
